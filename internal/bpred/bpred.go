@@ -190,3 +190,19 @@ func (p *Predictor) ResetCounters() {
 	p.mispredict = 0
 	p.branches = 0
 }
+
+// CopyFrom overwrites p in place with src's learned tables, global history
+// and counters. Both predictors must have the same configuration.
+//
+//dtmlint:allocfree
+func (p *Predictor) CopyFrom(src *Predictor) error {
+	if p.cfg != src.cfg {
+		return fmt.Errorf("bpred: CopyFrom between configurations %+v and %+v", src.cfg, p.cfg)
+	}
+	copy(p.local, src.local)
+	copy(p.global, src.global)
+	copy(p.chooser, src.chooser)
+	p.history = src.history
+	p.accesses, p.mispredict, p.branches = src.accesses, src.mispredict, src.branches
+	return nil
+}

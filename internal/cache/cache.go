@@ -36,16 +36,19 @@ func (c Config) validate(name string) error {
 	return nil
 }
 
+// line is one tag-array entry. lastUse == 0 marks an invalid line: the
+// access tick is at least 1 before any fill, so a valid line never holds
+// 0, and dropping a separate valid flag keeps a line at 16 bytes.
 type line struct {
 	tag     uint64
-	valid   bool
 	lastUse uint64
 }
 
 // Cache is one level of set-associative cache with true LRU replacement.
 type Cache struct {
 	cfg      Config
-	sets     [][]line
+	lines    []line // tag array, set-major: set s is lines[s*ways : (s+1)*ways]
+	ways     uint64
 	setMask  uint64
 	lineBits uint
 	tick     uint64
@@ -60,18 +63,14 @@ func New(name string, cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	nSets := cfg.SizeBytes / cfg.LineBytes / cfg.Ways
-	sets := make([][]line, nSets)
-	backing := make([]line, nSets*cfg.Ways)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
-	}
 	lb := uint(0)
 	for 1<<lb < cfg.LineBytes {
 		lb++
 	}
 	return &Cache{
 		cfg:      cfg,
-		sets:     sets,
+		lines:    make([]line, nSets*cfg.Ways),
+		ways:     uint64(cfg.Ways),
 		setMask:  uint64(nSets - 1),
 		lineBits: lb,
 	}, nil
@@ -86,10 +85,11 @@ func (c *Cache) Access(addr uint64) bool {
 	c.tick++
 	c.accesses++
 	blk := addr >> c.lineBits
-	set := c.sets[blk&c.setMask]
+	first := (blk & c.setMask) * c.ways
+	set := c.lines[first : first+c.ways]
 	tag := blk >> 0 // full block address as tag keeps aliasing impossible
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].tag == tag && set[i].lastUse != 0 {
 			set[i].lastUse = c.tick
 			return true
 		}
@@ -98,7 +98,7 @@ func (c *Cache) Access(addr uint64) bool {
 	// Allocate into the invalid or least-recently-used way.
 	victim := 0
 	for i := range set {
-		if !set[i].valid {
+		if set[i].lastUse == 0 {
 			victim = i
 			break
 		}
@@ -106,7 +106,7 @@ func (c *Cache) Access(addr uint64) bool {
 			victim = i
 		}
 	}
-	set[victim] = line{tag: tag, valid: true, lastUse: c.tick}
+	set[victim] = line{tag: tag, lastUse: c.tick}
 	return false
 }
 
@@ -123,6 +123,20 @@ func (c *Cache) MissRate() float64 {
 
 // ResetCounters clears the statistics but keeps cache contents.
 func (c *Cache) ResetCounters() { c.accesses, c.misses = 0, 0 }
+
+// CopyFrom overwrites c in place with src's contents, LRU state and
+// counters. Both caches must have the same geometry.
+//
+//dtmlint:allocfree
+func (c *Cache) CopyFrom(src *Cache) error {
+	if c.cfg != src.cfg {
+		return fmt.Errorf("cache: CopyFrom between geometries %+v and %+v", src.cfg, c.cfg)
+	}
+	copy(c.lines, src.lines)
+	c.tick = src.tick
+	c.accesses, c.misses = src.accesses, src.misses
+	return nil
+}
 
 // HierarchyConfig sizes the full hierarchy.
 type HierarchyConfig struct {
@@ -200,4 +214,21 @@ func (h *Hierarchy) ResetCounters() {
 	h.L1I.ResetCounters()
 	h.L1D.ResetCounters()
 	h.L2.ResetCounters()
+}
+
+// CopyFrom overwrites every level of h in place with src's state. Both
+// hierarchies must have the same configuration.
+//
+//dtmlint:allocfree
+func (h *Hierarchy) CopyFrom(src *Hierarchy) error {
+	if h.memLatency != src.memLatency {
+		return fmt.Errorf("cache: CopyFrom between memory latencies %d and %d", src.memLatency, h.memLatency)
+	}
+	if err := h.L1I.CopyFrom(src.L1I); err != nil {
+		return err
+	}
+	if err := h.L1D.CopyFrom(src.L1D); err != nil {
+		return err
+	}
+	return h.L2.CopyFrom(src.L2)
 }

@@ -3,6 +3,7 @@ package cache
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 func small(t *testing.T) *Cache {
@@ -190,5 +191,69 @@ func TestAssociativityConflict(t *testing.T) {
 	}
 	if mr := c.MissRate(); mr < 0.999 {
 		t.Errorf("conflicting lines in direct-mapped cache: miss rate %v, want 1", mr)
+	}
+}
+
+// TestLineIs16Bytes pins the compact tag-array entry: validity is encoded
+// as lastUse != 0, so a line is a tag and a timestamp and nothing else.
+func TestLineIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(line{}); got != 16 {
+		t.Errorf("unsafe.Sizeof(line{}) = %d, want 16", got)
+	}
+}
+
+// TestCopyFromRestoresState checks that a cache restored from a warmed one
+// answers every later access exactly as the original does, and that the
+// two stay independent afterwards.
+func TestCopyFromRestoresState(t *testing.T) {
+	src, dst := small(t), small(t)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 500; i++ {
+		src.Access(uint64(rng.Intn(4096)))
+	}
+	dst.Access(0x7000) // stale state the restore must overwrite
+	if err := dst.CopyFrom(src); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := src.MissRate(), dst.MissRate(); a != b {
+		t.Fatalf("miss rate after restore = %v, want %v", b, a)
+	}
+	for i := 0; i < 500; i++ {
+		addr := uint64(rng.Intn(4096))
+		if got, want := dst.Access(addr), src.Access(addr); got != want {
+			t.Fatalf("access %d (%#x): restored hit=%v, original hit=%v", i, addr, got, want)
+		}
+	}
+	other, err := New("other", Config{SizeBytes: 2048, LineBytes: 64, Ways: 2, Latency: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.CopyFrom(src); err == nil {
+		t.Error("CopyFrom accepted a cache of different geometry")
+	}
+}
+
+func TestHierarchyCopyFromAllocFree(t *testing.T) {
+	src, err := NewHierarchy(DefaultHierarchy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := NewHierarchy(DefaultHierarchy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for a := uint64(0); a < 1<<16; a += 64 {
+		src.Data(a)
+		src.Instruction(a << 3)
+	}
+	if n := testing.AllocsPerRun(3, func() {
+		if err := dst.CopyFrom(src); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Hierarchy.CopyFrom allocates %v times per call", n)
+	}
+	if dst.L2.MissRate() != src.L2.MissRate() || dst.L1D.MissRate() != src.L1D.MissRate() {
+		t.Error("restored hierarchy statistics differ")
 	}
 }

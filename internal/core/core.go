@@ -215,8 +215,8 @@ type Result struct {
 // Violated reports whether the run ever exceeded the emergency threshold.
 func (r Result) Violated() bool { return r.EmergencyTime > 0 }
 
-// Simulator is a one-shot coupled simulation: construct with New, call Run
-// once.
+// Simulator is a one-shot coupled simulation: construct with New (or
+// NewFromPrefix), call Run once.
 type Simulator struct {
 	cfg    Config
 	fp     *floorplan.Floorplan
@@ -227,6 +227,10 @@ type Simulator struct {
 	ladder *dvfs.Ladder
 	policy dtm.Policy
 	prof   trace.Profile
+
+	// activity is the init window's per-block activity. nil until the warm
+	// prefix has run; NewFromPrefix sets it from the prefix.
+	activity []float64
 
 	ran bool
 }
@@ -240,18 +244,28 @@ func New(cfg Config, prof trace.Profile, policy dtm.Policy) (*Simulator, error) 
 	if err := prof.Validate(); err != nil {
 		return nil, err
 	}
-	if policy == nil {
-		policy = dtm.None()
+	c, err := newCPU(cfg.CPU, prof)
+	if err != nil {
+		return nil, err
 	}
-	fp := floorplan.EV6()
+	return assemble(cfg, prof, policy, c)
+}
+
+// newCPU builds a cold core running prof's synthetic stream.
+func newCPU(cfg cpu.Config, prof trace.Profile) (*cpu.Core, error) {
 	gen, err := trace.NewGenerator(prof)
 	if err != nil {
 		return nil, err
 	}
-	c, err := cpu.New(cfg.CPU, gen)
-	if err != nil {
-		return nil, err
+	return cpu.New(cfg, gen)
+}
+
+// assemble builds the rest of a simulator around its CPU.
+func assemble(cfg Config, prof trace.Profile, policy dtm.Policy, c *cpu.Core) (*Simulator, error) {
+	if policy == nil {
+		policy = dtm.None()
 	}
+	fp := floorplan.EV6()
 	pm, err := power.NewModel(fp, cfg.Tech, cfg.Specs, cfg.Leakage)
 	if err != nil {
 		return nil, err
@@ -284,6 +298,81 @@ func New(cfg Config, prof trace.Profile, policy dtm.Policy) (*Simulator, error) 
 	}, nil
 }
 
+// Prefix is the policy-free start of a run: the CPU after WarmupCycles of
+// warm-up and InitCycles of init execution, plus the init window's
+// per-block activity. It depends only on the profile, the CPU config and
+// the two cycle counts; the power, package, sensor and policy settings
+// enter afterwards, when RunContext solves the leakage fixed point and
+// applies the trigger clamp. So every run that shares those four inputs
+// can start from one Prefix instead of recomputing it.
+type Prefix struct {
+	prof                     trace.Profile
+	cpuCfg                   cpu.Config
+	warmupCycles, initCycles uint64
+
+	core     *cpu.Core // nil once a simulator has taken it
+	activity []float64 // read-only once built
+}
+
+// WarmPrefix runs the warm-up and init phases of cfg for prof. The context
+// is checked between phases; a canceled warm-up returns ctx.Err().
+func WarmPrefix(ctx context.Context, cfg Config, prof trace.Profile) (*Prefix, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	c, err := newCPU(cfg.CPU, prof)
+	if err != nil {
+		return nil, err
+	}
+	activity, err := warm(ctx, c, cfg, floorplan.EV6())
+	if err != nil {
+		return nil, err
+	}
+	return &Prefix{
+		prof: prof, cpuCfg: cfg.CPU, warmupCycles: cfg.WarmupCycles, initCycles: cfg.InitCycles,
+		core: c, activity: activity,
+	}, nil
+}
+
+// NewFromPrefix is New for a run that starts from p instead of running
+// warm-up and init itself; its results equal those of New with the same
+// arguments and p's profile. cfg must carry the CPU config and cycle
+// counts p was warmed with.
+//
+// Without take the simulator restores a copy of p's core into a core of
+// its own and only reads p, so concurrent calls may share p. With take it
+// adopts p's core instead of copying it, and p cannot be used again; the
+// caller must make sure no other call is still reading p.
+func NewFromPrefix(cfg Config, p *Prefix, policy dtm.Policy, take bool) (*Simulator, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if p.core == nil {
+		return nil, errors.New("core: prefix already taken by another simulator")
+	}
+	if cfg.CPU != p.cpuCfg || cfg.WarmupCycles != p.warmupCycles || cfg.InitCycles != p.initCycles {
+		return nil, errors.New("core: config does not match the prefix's CPU config and warm-up")
+	}
+	c := p.core
+	if take {
+		p.core = nil
+	} else {
+		var err error
+		if c, err = newCPU(cfg.CPU, p.prof); err != nil {
+			return nil, err
+		}
+		if err := c.CopyFrom(p.core); err != nil {
+			return nil, err
+		}
+	}
+	s, err := assemble(cfg, p.prof, policy, c)
+	if err != nil {
+		return nil, err
+	}
+	s.activity = p.activity
+	return s, nil
+}
+
 // Floorplan returns the floorplan in use.
 func (s *Simulator) Floorplan() *floorplan.Floorplan { return s.fp }
 
@@ -297,15 +386,6 @@ func (s *Simulator) Core() *cpu.Core { return s.core }
 // (see sensor.Bank.SetStuck).
 func (s *Simulator) Sensors() *sensor.Bank { return s.bank }
 
-// initSteadyState mirrors the paper's §3 startup: caches and predictor are
-// first warmed in full detail (WarmupCycles), then InitCycles of warmed
-// execution measure the workload's activity, and the thermal model is set
-// to the corresponding power/temperature fixed point (leakage depends on
-// temperature, so the steady state is solved iteratively).
-//
-// For runs with an active DTM policy the initial state is additionally
-// clamped so no block starts above the trigger: a chip whose DTM has been
-// running would have been held there, never at the unmanaged steady state.
 // mrHeadroom reports whether every expected sensor reading — true block
 // temperature plus the sensor's fixed offset — sits at or below limit, i.e.
 // the chip is far enough below Trigger that a fused multi-rate interval
@@ -319,27 +399,47 @@ func (s *Simulator) mrHeadroom(temps []float64, limit float64) bool {
 	return true
 }
 
-func (s *Simulator) initSteadyState(ctx context.Context) error {
+// warm is the policy-free half of the paper's §3 startup: caches and
+// predictor are first warmed in full detail (WarmupCycles), then
+// InitCycles of warmed execution measure the workload's activity, which
+// it returns per block of fp.
+func warm(ctx context.Context, c *cpu.Core, cfg Config, fp *floorplan.Floorplan) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
-	if _, err := s.core.Run(s.cfg.WarmupCycles, 0, nil); err != nil {
-		return err
+	if _, err := c.Run(cfg.WarmupCycles, 0, nil); err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
 	var act cpu.Activity
-	if _, err := s.core.Run(s.cfg.InitCycles, 0, &act); err != nil {
-		return err
+	if _, err := c.Run(cfg.InitCycles, 0, &act); err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
-	activity, err := act.BlockActivity(s.fp, nil)
-	if err != nil {
-		return err
+	return act.BlockActivity(fp, nil)
+}
+
+// initSteadyState runs the warm prefix unless the simulator was built from
+// one, then sets the thermal model to the power/temperature fixed point of
+// the init window's activity (leakage depends on temperature, so the
+// steady state is solved iteratively).
+//
+// For runs with an active DTM policy the initial state is additionally
+// clamped so no block starts above the trigger: a chip whose DTM has been
+// running would have been held there, never at the unmanaged steady state.
+func (s *Simulator) initSteadyState(ctx context.Context) error {
+	if s.activity == nil {
+		activity, err := warm(ctx, s.core, s.cfg, s.fp)
+		if err != nil {
+			return err
+		}
+		s.activity = activity
 	}
+	activity := s.activity
 	nom := s.ladder.Nominal()
 	n := s.fp.NumBlocks()
 	scaled := make([]float64, n)

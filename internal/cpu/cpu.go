@@ -359,6 +359,95 @@ func New(cfg Config, gen trace.Source) (*Core, error) {
 	return c, nil
 }
 
+// CopyFrom overwrites c in place with src's complete state — pipeline
+// rings, issue queues, MSHRs, scoreboard, gating accumulators, caches,
+// branch predictor and the trace generator's stream position — so c then
+// simulates exactly what src would. No storage is allocated: c keeps its
+// own arrays and receives copies of src's contents, so the two cores stay
+// independent. Both must share a Config, and both must run a synthetic
+// *trace.Generator (a recorded trace's file position cannot be copied).
+//
+//dtmlint:allocfree
+func (c *Core) CopyFrom(src *Core) error {
+	if c.cfg != src.cfg {
+		return fmt.Errorf("cpu: CopyFrom between different configurations")
+	}
+	dg, ok := c.gen.(*trace.Generator)
+	if !ok {
+		return fmt.Errorf("cpu: CopyFrom into a core whose trace source is %T, not *trace.Generator", c.gen)
+	}
+	sg, ok := src.gen.(*trace.Generator)
+	if !ok {
+		return fmt.Errorf("cpu: CopyFrom from a core whose trace source is %T, not *trace.Generator", src.gen)
+	}
+	if err := dg.CopyFrom(sg); err != nil {
+		return err
+	}
+	if err := c.bp.CopyFrom(src.bp); err != nil {
+		return err
+	}
+	if err := c.mem.CopyFrom(src.mem); err != nil {
+		return err
+	}
+	// Take every scalar from src, then point the storage back at c's own
+	// arrays and fill them with src's contents.
+	own := *c
+	*c = *src
+	c.gen, c.bp, c.mem = own.gen, own.bp, own.mem
+
+	c.robClass = copyRing(own.robClass, src.robClass)
+	c.robDst = copyRing(own.robDst, src.robDst)
+	c.robDep1 = copyRing(own.robDep1, src.robDep1)
+	c.robDep2 = copyRing(own.robDep2, src.robDep2)
+	c.robAddr = copyRing(own.robAddr, src.robAddr)
+	c.robIssued = copyRing(own.robIssued, src.robIssued)
+	c.robDoneAt = copyRing(own.robDoneAt, src.robDoneAt)
+	c.robMispred = copyRing(own.robMispred, src.robMispred)
+	c.robSeq = copyRing(own.robSeq, src.robSeq)
+	c.robReadyAt = copyRing(own.robReadyAt, src.robReadyAt)
+	c.robMissing = copyRing(own.robMissing, src.robMissing)
+	c.wakeHead = copyRing(own.wakeHead, src.wakeHead)
+	c.wakeNext = copyRing(own.wakeNext, src.wakeNext)
+
+	c.ifqClass = copyRing(own.ifqClass, src.ifqClass)
+	c.ifqDst = copyRing(own.ifqDst, src.ifqDst)
+	c.ifqSrc1 = copyRing(own.ifqSrc1, src.ifqSrc1)
+	c.ifqSrc2 = copyRing(own.ifqSrc2, src.ifqSrc2)
+	c.ifqAddr = copyRing(own.ifqAddr, src.ifqAddr)
+	c.ifqMispred = copyRing(own.ifqMispred, src.ifqMispred)
+
+	c.intQ.copyLists(&own.intQ, &src.intQ)
+	c.fpQ.copyLists(&own.fpQ, &src.fpQ)
+	c.memQ.copyLists(&own.memQ, &src.memQ)
+	c.mshr = copySeqs(own.mshr, src.mshr)
+	return nil
+}
+
+// copyRing copies src into dst, which has the same length (both were sized
+// from the same Config), and returns dst.
+func copyRing[T any](dst, src []T) []T {
+	copy(dst, src)
+	return dst
+}
+
+// copySeqs overwrites dst's contents with src's, reusing dst's backing
+// array; it grows only if src outgrew dst's capacity.
+func copySeqs(dst, src []uint64) []uint64 {
+	if cap(dst) < len(src) {
+		dst = make([]uint64, len(src))
+	}
+	dst = dst[:len(src)]
+	copy(dst, src)
+	return dst
+}
+
+// copyLists gives q (whose scalars already hold src's) src's ready and
+// pending lists in own's storage.
+func (q *issueQueue) copyLists(own, src *issueQueue) {
+	q.ready = copySeqs(own.ready, src.ready)
+	q.pending = copySeqs(own.pending, src.pending)
+}
+
 // Config returns the core's configuration.
 func (c *Core) Config() Config { return c.cfg }
 

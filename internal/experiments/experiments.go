@@ -5,7 +5,8 @@
 // harness in the repository root. DESIGN.md carries the experiment index.
 //
 // Every (benchmark, policy, config) simulation is independent — no mutable
-// state is shared between runs — so the package executes them on a bounded
+// state is shared between runs; runs that share a warm prefix start from
+// copies of it (see prefix.go) — so the package executes them on a bounded
 // worker pool (see pool.go). Results are reassembled in submission order,
 // which makes parallel runs byte-identical to serial runs; Options.Workers
 // only changes wall-clock time, never output.
@@ -19,6 +20,7 @@ import (
 	"log/slog"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hybriddtm/internal/core"
@@ -174,6 +176,9 @@ type Runner struct {
 
 	mu        sync.Mutex
 	baselines map[string]*baselineEntry
+
+	// prefixWarms counts the warm prefixes RunJobs has computed.
+	prefixWarms atomic.Int64
 }
 
 // baselineEntry is one in-flight or completed baseline computation. done is
@@ -232,6 +237,14 @@ func (r *Runner) Baseline(prof trace.Profile) (core.Result, error) {
 // not cached, so a later call with a live context recomputes it; any other
 // error is cached (it is deterministic and would simply recur).
 func (r *Runner) BaselineContext(ctx context.Context, prof trace.Profile) (core.Result, error) {
+	return r.baseline(ctx, prof, nil)
+}
+
+// baseline is BaselineContext for a job of a RunJobs batch: the first job
+// to resolve prof's baseline claims the baseline's slot in the batch's
+// prefix table (nil outside a batch) and, if it runs the simulation,
+// starts it from the shared warm prefix.
+func (r *Runner) baseline(ctx context.Context, prof trace.Profile, tab *prefixTable) (core.Result, error) {
 	for {
 		r.mu.Lock()
 		e, ok := r.baselines[prof.Name]
@@ -239,7 +252,7 @@ func (r *Runner) BaselineContext(ctx context.Context, prof trace.Profile) (core.
 			e = &baselineEntry{done: make(chan struct{})}
 			r.baselines[prof.Name] = e
 			r.mu.Unlock()
-			e.res, e.err = r.measureBaseline(ctx, prof)
+			e.res, e.err = r.measureBaseline(ctx, prof, tab)
 			if e.err != nil && errors.Is(e.err, ctx.Err()) {
 				r.mu.Lock()
 				delete(r.baselines, prof.Name)
@@ -249,6 +262,10 @@ func (r *Runner) BaselineContext(ctx context.Context, prof trace.Profile) (core.
 			return e.res, e.err
 		}
 		r.mu.Unlock()
+		if key, ok := tab.claimBaseline(prof.Name); ok {
+			// Someone else simulates it; this batch's slot goes unused.
+			tab.release(key)
+		}
 		select {
 		case <-e.done:
 			if e.err != nil && (errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
@@ -262,10 +279,19 @@ func (r *Runner) BaselineContext(ctx context.Context, prof trace.Profile) (core.
 	}
 }
 
-// measureBaseline runs the uncached no-DTM simulation.
-func (r *Runner) measureBaseline(ctx context.Context, prof trace.Profile) (core.Result, error) {
+// measureBaseline runs the uncached no-DTM simulation, from the batch's
+// shared warm prefix when tab holds one for it.
+func (r *Runner) measureBaseline(ctx context.Context, prof trace.Profile, tab *prefixTable) (core.Result, error) {
 	cfg := r.instrument(r.opts.Config)
-	sim, err := core.New(cfg, prof, nil)
+	if key, ok := tab.claimBaseline(prof.Name); !ok {
+		tab = nil
+	} else if key != prefixKey(cfg, prof) {
+		// The batch planned this baseline from a job whose profile differs
+		// under the same name; simulate it on its own.
+		tab.release(key)
+		tab = nil
+	}
+	sim, err := tab.startSim(ctx, cfg, prof, nil)
 	if err != nil {
 		return core.Result{}, err
 	}
@@ -310,7 +336,7 @@ func (r *Runner) Run(prof trace.Profile, factory PolicyFactory) (Measurement, er
 // still taken from the runner's base config, which is what the paper
 // normalizes against).
 func (r *Runner) RunWithConfig(cfg core.Config, prof trace.Profile, factory PolicyFactory) (Measurement, error) {
-	return r.runJob(context.Background(), Job{Config: cfg, Profile: prof, Factory: factory})
+	return r.runJob(context.Background(), Job{Config: cfg, Profile: prof, Factory: factory}, nil)
 }
 
 // RunJobContext executes one job on the calling goroutine, sharing the
@@ -318,16 +344,19 @@ func (r *Runner) RunWithConfig(cfg core.Config, prof trace.Profile, factory Poli
 // other caller. It is the entry point for drivers that manage their own
 // concurrency (the dtmserve worker pool); batch drivers use RunJobs.
 func (r *Runner) RunJobContext(ctx context.Context, job Job) (Measurement, error) {
-	return r.runJob(ctx, job)
+	return r.runJob(ctx, job, nil)
 }
 
 // runJob executes one simulation job: resolve the baseline (shared via the
-// singleflight cache), build a fresh policy, run, and normalize. Job
-// wall-clock latency feeds the pool.job_s histogram when a registry is
-// attached — latency is host time, so it never influences Measurements.
-func (r *Runner) runJob(ctx context.Context, job Job) (Measurement, error) {
+// singleflight cache), build a fresh policy, run, and normalize. Inside a
+// RunJobs batch tab is the batch's prefix table and the job (and the
+// baseline, if this job simulates it) starts from the shared warm prefix;
+// with a nil tab the job computes its own. Job wall-clock latency feeds
+// the pool.job_s histogram when a registry is attached — latency is host
+// time, so it never influences Measurements.
+func (r *Runner) runJob(ctx context.Context, job Job, tab *prefixTable) (Measurement, error) {
 	start := time.Now() //dtmlint:allow detguard host-side job latency metric; never feeds Measurements
-	base, err := r.BaselineContext(ctx, job.Profile)
+	base, err := r.baseline(ctx, job.Profile, tab)
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -335,7 +364,8 @@ func (r *Runner) runJob(ctx context.Context, job Job) (Measurement, error) {
 	if err != nil {
 		return Measurement{}, err
 	}
-	sim, err := core.New(r.instrument(job.Config), job.Profile, pol)
+	cfg := r.instrument(job.Config)
+	sim, err := tab.startSim(ctx, cfg, job.Profile, pol)
 	if err != nil {
 		return Measurement{}, err
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hybriddtm/internal/core"
 	"hybriddtm/internal/dtm"
@@ -270,5 +271,179 @@ func TestSharedRegistryUnderPool(t *testing.T) {
 	// All workers have exited, so the active-worker gauge must be back to 0.
 	if got := reg.Gauge(obs.MetricPoolActive).Value(); got != 0 {
 		t.Errorf("%s = %v, want 0 after pool drain", obs.MetricPoolActive, got)
+	}
+}
+
+// countingWarm is a prefix-table warm function for the table's own tests:
+// it counts calls and defers the outcome to fn.
+type countingWarm struct {
+	mu    sync.Mutex
+	calls int
+	fn    func(ctx context.Context, call int) (*core.Prefix, error)
+}
+
+func (w *countingWarm) warm(ctx context.Context, _ core.Config, _ trace.Profile) (*core.Prefix, error) {
+	w.mu.Lock()
+	w.calls++
+	n := w.calls
+	w.mu.Unlock()
+	return w.fn(ctx, n)
+}
+
+func (w *countingWarm) count() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.calls
+}
+
+// TestPrefixTableCanceledOwner: a warm-up owner canceled mid-flight must
+// not leave the key's other consumers hanging or failed; one of them
+// recomputes the prefix under its own context.
+func TestPrefixTableCanceledOwner(t *testing.T) {
+	started := make(chan struct{})
+	w := &countingWarm{fn: func(ctx context.Context, call int) (*core.Prefix, error) {
+		if call == 1 {
+			close(started)
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		return new(core.Prefix), nil
+	}}
+	tab := newPrefixTable(w.warm)
+	tab.addConsumer("k")
+	tab.addConsumer("k")
+
+	ownerCtx, cancel := context.WithCancel(context.Background())
+	ownerErr := make(chan error, 1)
+	go func() {
+		_, _, _, err := tab.acquire(ownerCtx, "k", core.Config{}, trace.Profile{})
+		ownerErr <- err
+	}()
+	<-started
+	type outcome struct {
+		p    *core.Prefix
+		take bool
+		err  error
+	}
+	waiter := make(chan outcome, 1)
+	go func() {
+		p, take, _, err := tab.acquire(context.Background(), "k", core.Config{}, trace.Profile{})
+		waiter <- outcome{p, take, err}
+	}()
+	cancel()
+	if err := <-ownerErr; !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled owner got %v, want context.Canceled", err)
+	}
+	select {
+	case got := <-waiter:
+		if got.err != nil || got.p == nil {
+			t.Errorf("waiter after a canceled owner: prefix %v, err %v", got.p, got.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("waiter hung after the owner was canceled")
+	}
+	if n := w.count(); n != 2 {
+		t.Errorf("warm ran %d times, want 2 (the canceled attempt and the retry)", n)
+	}
+}
+
+// TestPrefixTableWarmErrorFailsAll: a deterministic warm-up error is
+// computed once and fails every consumer of the key with that error.
+func TestPrefixTableWarmErrorFailsAll(t *testing.T) {
+	boom := errors.New("warm-up exploded")
+	release := make(chan struct{})
+	w := &countingWarm{fn: func(context.Context, int) (*core.Prefix, error) {
+		<-release
+		return nil, boom
+	}}
+	tab := newPrefixTable(w.warm)
+	const consumers = 4
+	for i := 0; i < consumers; i++ {
+		tab.addConsumer("k")
+	}
+	errs := make(chan error, consumers)
+	for i := 0; i < consumers; i++ {
+		go func() {
+			_, _, _, err := tab.acquire(context.Background(), "k", core.Config{}, trace.Profile{})
+			errs <- err
+		}()
+	}
+	close(release)
+	for i := 0; i < consumers; i++ {
+		if err := <-errs; !errors.Is(err, boom) {
+			t.Errorf("consumer got %v, want %v", err, boom)
+		}
+	}
+	if n := w.count(); n != 1 {
+		t.Errorf("warm ran %d times, want 1", n)
+	}
+	if len(tab.entries) != 0 {
+		t.Errorf("%d entries left after every consumer was served", len(tab.entries))
+	}
+}
+
+// TestPrefixTableLastConsumerTakes: consumers before the last only read the
+// prefix; the last takes it, but only after every earlier restore is done,
+// and the entry is then dropped.
+func TestPrefixTableLastConsumerTakes(t *testing.T) {
+	w := &countingWarm{fn: func(context.Context, int) (*core.Prefix, error) { return new(core.Prefix), nil }}
+	tab := newPrefixTable(w.warm)
+	for i := 0; i < 3; i++ {
+		tab.addConsumer("k")
+	}
+	ctx := context.Background()
+	p1, take1, done1, err1 := tab.acquire(ctx, "k", core.Config{}, trace.Profile{})
+	p2, take2, done2, err2 := tab.acquire(ctx, "k", core.Config{}, trace.Profile{})
+	if err1 != nil || err2 != nil || take1 || take2 || p1 != p2 {
+		t.Fatalf("early consumers: take %v/%v, same prefix %v, errs %v/%v", take1, take2, p1 == p2, err1, err2)
+	}
+	taken := make(chan bool, 1)
+	go func() {
+		p3, take3, _, err := tab.acquire(ctx, "k", core.Config{}, trace.Profile{})
+		taken <- err == nil && take3 && p3 == p1
+	}()
+	done1()
+	select {
+	case <-taken:
+		t.Fatal("last consumer took the prefix while a restore was still in progress")
+	case <-time.After(50 * time.Millisecond):
+	}
+	done2()
+	if ok := <-taken; !ok {
+		t.Error("last consumer did not take the shared prefix")
+	}
+	if n := w.count(); n != 1 {
+		t.Errorf("warm ran %d times, want 1", n)
+	}
+	if len(tab.entries) != 0 {
+		t.Errorf("%d entries left after the last consumer", len(tab.entries))
+	}
+}
+
+// TestGroupQueueDispatch: workers start distinct groups first and stay on
+// their group; only when no group is unstarted do they join the running
+// group with the most jobs left.
+func TestGroupQueueDispatch(t *testing.T) {
+	q := &groupQueue{groups: [][]int{{0, 1, 2}, {3, 4, 5, 6}, {7}}}
+	a, b := -1, -1
+	for _, step := range []struct {
+		cur  *int
+		want int
+	}{
+		{&a, 0}, // a starts group 0
+		{&b, 3}, // b starts group 1
+		{&a, 1}, // a stays on group 0
+		{&a, 2},
+		{&a, 7}, // group 0 exhausted: a starts the last unstarted group
+		{&a, 4}, // none unstarted: a joins group 1, the largest left
+		{&b, 5},
+		{&a, 6},
+	} {
+		if got, ok := q.take(step.cur); !ok || got != step.want {
+			t.Fatalf("take = %d, %v; want %d", got, ok, step.want)
+		}
+	}
+	if _, ok := q.take(&b); ok {
+		t.Error("take after every job was handed out")
 	}
 }

@@ -276,6 +276,26 @@ func NewGenerator(p Profile) (*Generator, error) {
 // Profile returns the generator's profile.
 func (g *Generator) Profile() Profile { return g.prof }
 
+// CopyFrom overwrites g in place with src's position in its stream: the
+// xorshift state, phase cursor, dependency history and branch sites. g
+// then produces exactly the instructions src would produce next. Both
+// generators must have the same number of branch sites (generators built
+// from the same profile always do).
+//
+//dtmlint:allocfree
+func (g *Generator) CopyFrom(src *Generator) error {
+	if len(g.branchPC) != len(src.branchPC) {
+		return fmt.Errorf("trace: CopyFrom between %d and %d branch sites", len(src.branchPC), len(g.branchPC))
+	}
+	pc, bias, pat := g.branchPC, g.branchBias, g.branchPat
+	*g = *src
+	g.branchPC, g.branchBias, g.branchPat = pc, bias, pat
+	copy(g.branchPC, src.branchPC)
+	copy(g.branchBias, src.branchBias)
+	copy(g.branchPat, src.branchPat)
+	return nil
+}
+
 // Count returns the number of instructions generated so far.
 func (g *Generator) Count() uint64 { return g.count }
 
