@@ -123,3 +123,58 @@ func TestMultiRateStepAllocationFree(t *testing.T) {
 		t.Errorf("fused multi-rate step allocates %.1f times per iteration, want 0", allocs)
 	}
 }
+
+// TestFollowerSampleAllocationFree extends the coupled-step contract to
+// cohorts: with followers attached, every sensor sample also runs each
+// follower's policy (scalar and vector) and compares its decision with
+// the leader's. That must not touch the heap either.
+func TestFollowerSampleAllocationFree(t *testing.T) {
+	cfg := quickConfig()
+	ladder, err := dvfs.Binary(cfg.Tech, cfg.VMinFrac)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lead, err := dtm.Hyb(cfg.Trigger, 0.4, 2.0/3, ladder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fg, err := dtm.FetchGating(cfg.Trigger, dtm.DefaultFGGain, 2.0/3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := dtm.LocalToggling(cfg.Trigger, dtm.DefaultFGGain, 2.0/3,
+		dtm.Domains{Int: []int{0, 1}, FP: []int{2}, Mem: []int{3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := New(cfg, gzipProfile(t), lead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Follow(fg, local, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(200_000); err != nil {
+		t.Fatal(err)
+	}
+
+	dt := cfg.Sensors.SamplePeriod()
+	var temps, readings []float64
+	temps = sim.tm.BlockTemps(temps)
+	sample := func() {
+		for i := range sim.followers {
+			sim.followers[i].attached = true
+		}
+		readings, err = sim.bank.Read(readings, temps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := sim.policy.Sample(sensor.Max(readings), dt)
+		sim.sampleFollowers(readings, dt, d)
+	}
+	sample()
+
+	if allocs := testing.AllocsPerRun(50, sample); allocs != 0 {
+		t.Errorf("sample with followers allocates %.1f times per iteration, want 0", allocs)
+	}
+}

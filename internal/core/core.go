@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"hybriddtm/internal/cpu"
 	"hybriddtm/internal/dtm"
@@ -232,7 +233,17 @@ type Simulator struct {
 	// prefix has run; NewFromPrefix sets it from the prefix.
 	activity []float64
 
+	// followers ride along with policy (see Follow).
+	followers []follower
+
 	ran bool
+}
+
+// follower is one policy attached by Follow.
+type follower struct {
+	policy   dtm.Policy
+	vector   dtm.VectorPolicy // policy, when it samples every sensor
+	attached bool
 }
 
 // New assembles a simulator for one benchmark profile under one policy.
@@ -373,6 +384,89 @@ func NewFromPrefix(cfg Config, p *Prefix, policy dtm.Policy, take bool) (*Simula
 	return s, nil
 }
 
+// Follow attaches policies as followers of the simulator's own policy, the
+// leader. At every sensor sample a follower sees the readings the leader
+// sees and decides as well; the run only ever applies the leader's
+// decision. A follower stays attached while its decision has the same
+// effect as the leader's: the same fetch and domain gates, clock stop and
+// DVS level (clamped to the ladder). The first sample where it differs
+// detaches it, and it is not sampled again. At start-up a follower whose
+// dtm.IsNone differs from the leader's detaches if the start is clamped to
+// the trigger, since only DTM runs are clamped. So a follower that stayed
+// attached had exactly the run it would have had alone: Run's Result is
+// its Result too, except for Policy. A nil policy is no DTM.
+//
+// Call Follow before Run; Attached reports which followers stayed.
+func (s *Simulator) Follow(policies ...dtm.Policy) error {
+	if s.ran {
+		return errors.New("core: Follow after Run")
+	}
+	for _, p := range policies {
+		if p == nil {
+			p = dtm.None()
+		}
+		vp, _ := p.(dtm.VectorPolicy)
+		s.followers = append(s.followers, follower{policy: p, vector: vp, attached: true})
+	}
+	return nil
+}
+
+// Attached reports, for each follower in Follow order, whether it stayed
+// attached through the run.
+func (s *Simulator) Attached() []bool {
+	out := make([]bool, len(s.followers))
+	for i, f := range s.followers {
+		out[i] = f.attached
+	}
+	return out
+}
+
+// sampleFollowers lets every attached follower decide on the readings the
+// leader just decided on, and detaches those whose decision has a
+// different effect than lead.
+//
+//dtmlint:allocfree
+func (s *Simulator) sampleFollowers(readings []float64, dt float64, lead dtm.Decision) {
+	maxR, haveMax := 0.0, false
+	for i := range s.followers {
+		f := &s.followers[i]
+		if !f.attached {
+			continue
+		}
+		var d dtm.Decision
+		if f.vector != nil {
+			d = f.vector.SampleVector(readings, dt)
+		} else {
+			if !haveMax {
+				maxR, haveMax = sensor.Max(readings), true
+			}
+			d = f.policy.Sample(maxR, dt)
+		}
+		f.attached = s.sameEffect(d, lead)
+	}
+}
+
+// sameEffect reports whether decisions a and b drive the actuators
+// identically. Gates compare bit for bit.
+func (s *Simulator) sameEffect(a, b dtm.Decision) bool {
+	return sameBits(a.GateFrac, b.GateFrac) && sameBits(a.IntGate, b.IntGate) &&
+		sameBits(a.FPGate, b.FPGate) && sameBits(a.MemGate, b.MemGate) &&
+		a.ClockStop == b.ClockStop && s.clampLevel(a.Level) == s.clampLevel(b.Level)
+}
+
+func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+
+// clampLevel limits a requested DVS level to the ladder.
+func (s *Simulator) clampLevel(level int) int {
+	if level < 0 {
+		return 0
+	}
+	if n := s.ladder.NumPoints(); level >= n {
+		return n - 1
+	}
+	return level
+}
+
 // Floorplan returns the floorplan in use.
 func (s *Simulator) Floorplan() *floorplan.Floorplan { return s.fp }
 
@@ -483,7 +577,18 @@ func (s *Simulator) initSteadyState(ctx context.Context) error {
 	if err := s.tm.Init(p); err != nil {
 		return err
 	}
-	if !dtm.IsNone(s.policy) && reading > s.cfg.Trigger {
+	if !(reading > s.cfg.Trigger) {
+		return nil
+	}
+	// Only DTM runs are clamped, so a follower on the other side of that
+	// line would start from another state.
+	for i := range s.followers {
+		f := &s.followers[i]
+		if dtm.IsNone(f.policy) != dtm.IsNone(s.policy) {
+			f.attached = false
+		}
+	}
+	if !dtm.IsNone(s.policy) {
 		// The package (spreader, sink) sits at the workload's unmanaged
 		// steady state — it is quasi-static over simulated intervals and a
 		// hot application keeps it hot whether or not DTM throttles the
@@ -802,15 +907,12 @@ func (s *Simulator) RunContext(ctx context.Context, instructions uint64) (Result
 				// actuation event — is the dvfs.actuate window.
 				sp.Begin(obs.StageDVFSActuate)
 			}
+			if len(s.followers) > 0 {
+				s.sampleFollowers(readings, samplePeriod, d)
+			}
 			gates = cpu.Gates{Fetch: d.GateFrac, Int: d.IntGate, FP: d.FPGate, Mem: d.MemGate}
 			clockStop = d.ClockStop
-			want := d.Level
-			if want < 0 {
-				want = 0
-			}
-			if want >= s.ladder.NumPoints() {
-				want = s.ladder.NumPoints() - 1
-			}
+			want := s.clampLevel(d.Level)
 			switched := false
 			fromLevel := level
 			if want != level && pendingLevel < 0 && stats.SameFloat(stallRemaining, 0) {

@@ -133,34 +133,37 @@ func TestGoldenStageProfile(t *testing.T) {
 // profileStride: attaching the profiler at its default sampling rate must
 // cost less than 10% wall time over a profiler-free run. Laps sit at
 // mini-batch boundaries, not per cycle, so the envelope holds with a wide
-// margin; best-of-three timings damp scheduler noise.
+// margin. Interleaved off/on pairs, best of ten per side, damp
+// scheduler noise (a parallel `go test ./...` once measured 25.7% with
+// three off runs followed by three on runs).
 func TestStageProfilerOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock timing")
 	}
+	// One timed run. Off and on runs alternate, so a burst of load from
+	// other processes hits both sides, and each side keeps its fastest run:
+	// the minimum is the run least disturbed by the host.
 	run := func(withProf bool) time.Duration {
-		best := time.Duration(math.MaxInt64)
-		for i := 0; i < 3; i++ {
-			cfg := stageProfConfig()
-			if withProf {
-				cfg.Profiler = obs.NewStageProfiler(0)
-			}
-			sim, err := New(cfg, gzipProfile(t), hybPolicy(t, cfg))
-			if err != nil {
-				t.Fatal(err)
-			}
-			begin := time.Now()
-			if _, err := sim.Run(1_000_000); err != nil {
-				t.Fatal(err)
-			}
-			if d := time.Since(begin); d < best {
-				best = d
-			}
+		cfg := stageProfConfig()
+		if withProf {
+			cfg.Profiler = obs.NewStageProfiler(0)
 		}
-		return best
+		sim, err := New(cfg, gzipProfile(t), hybPolicy(t, cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		begin := time.Now()
+		if _, err := sim.Run(1_000_000); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(begin)
 	}
-	off := run(false)
-	on := run(true)
+	const pairs = 10
+	off, on := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for i := 0; i < pairs; i++ {
+		off = min(off, run(false))
+		on = min(on, run(true))
+	}
 	if ratio := float64(on) / float64(off); ratio > 1.10 {
 		t.Errorf("profiler-on overhead %.1f%% (off %v, on %v), want < 10%%",
 			(ratio-1)*100, off, on)

@@ -271,8 +271,12 @@ type Core struct {
 	blockState      int
 	blockSeq        uint64
 
-	pending      trace.Inst // lookahead instruction from the trace
-	pendingValid bool
+	// ibuf holds instructions drawn from the trace ahead of fetch;
+	// ibuf[ibufPos:] are not fetched yet. tgen is gen when it is a
+	// synthetic generator, which fills the buffer in one batch.
+	ibuf    [fetchAhead]trace.Inst
+	ibufPos int
+	tgen    *trace.Generator
 
 	mshr []uint64 // completion cycles of outstanding data misses
 
@@ -316,11 +320,14 @@ func New(cfg Config, gen trace.Source) (*Core, error) {
 	}
 	robCap := nextPow2(cfg.ROBSize)
 	ifqCap := nextPow2(cfg.IFQSize)
+	tgen, _ := gen.(*trace.Generator)
 	c := &Core{
-		cfg: cfg,
-		gen: gen,
-		bp:  bp,
-		mem: mem,
+		cfg:     cfg,
+		gen:     gen,
+		tgen:    tgen,
+		ibufPos: fetchAhead, // empty
+		bp:      bp,
+		mem:     mem,
 
 		robMask:    uint64(robCap - 1),
 		robClass:   make([]trace.Class, robCap),
@@ -393,7 +400,7 @@ func (c *Core) CopyFrom(src *Core) error {
 	// arrays and fill them with src's contents.
 	own := *c
 	*c = *src
-	c.gen, c.bp, c.mem = own.gen, own.bp, own.mem
+	c.gen, c.tgen, c.bp, c.mem = own.gen, own.tgen, own.bp, own.mem
 
 	c.robClass = copyRing(own.robClass, src.robClass)
 	c.robDst = copyRing(own.robDst, src.robDst)
@@ -1075,16 +1082,12 @@ func (c *Core) fetch(gateFrac float64, act *Activity, sp *obs.StageProfiler, sca
 		slots = free
 	}
 
-	if !c.pendingValid {
-		c.gen.Next(&c.pending)
-		c.pendingValid = true
-	}
-
 	// One I-cache (and I-TLB) access per fetch group.
+	pc := c.peek().PC
 	if sp != nil {
 		sp.LapN(obs.StageCPUFetch, scale)
 	}
-	res := c.mem.Instruction(c.pending.PC)
+	res := c.mem.Instruction(pc)
 	if sp != nil {
 		sp.LapN(obs.StageCache, scale)
 	}
@@ -1102,12 +1105,8 @@ func (c *Core) fetch(gateFrac float64, act *Activity, sp *obs.StageProfiler, sca
 	}
 
 	for i := 0; i < slots; i++ {
-		if !c.pendingValid {
-			c.gen.Next(&c.pending)
-			c.pendingValid = true
-		}
-		inst := c.pending
-		c.pendingValid = false
+		inst := *c.peek()
+		c.ibufPos++
 
 		mispredict := false
 		endGroup := false
@@ -1144,4 +1143,24 @@ func (c *Core) fetch(gateFrac float64, act *Activity, sp *obs.StageProfiler, sca
 			return
 		}
 	}
+}
+
+// fetchAhead is how many instructions the core draws from its trace at a
+// time.
+const fetchAhead = 64
+
+// peek returns the next instruction to fetch, refilling the buffer from
+// the trace when it is empty.
+func (c *Core) peek() *trace.Inst {
+	if c.ibufPos == len(c.ibuf) {
+		if c.tgen != nil {
+			c.tgen.Fill(c.ibuf[:])
+		} else {
+			for i := range c.ibuf {
+				c.gen.Next(&c.ibuf[i])
+			}
+		}
+		c.ibufPos = 0
+	}
+	return &c.ibuf[c.ibufPos]
 }

@@ -6,10 +6,11 @@
 //
 // Every (benchmark, policy, config) simulation is independent — no mutable
 // state is shared between runs; runs that share a warm prefix start from
-// copies of it (see prefix.go) — so the package executes them on a bounded
-// worker pool (see pool.go). Results are reassembled in submission order,
-// which makes parallel runs byte-identical to serial runs; Options.Workers
-// only changes wall-clock time, never output.
+// copies of it (see prefix.go), and jobs whose policies decide alike share
+// one simulation (cohorts, see RunJobs) — so the package executes them on
+// a bounded worker pool (see pool.go). Results are reassembled in
+// submission order, which makes parallel runs byte-identical to serial
+// runs; Options.Workers only changes wall-clock time, never output.
 package experiments
 
 import (
@@ -177,8 +178,9 @@ type Runner struct {
 	mu        sync.Mutex
 	baselines map[string]*baselineEntry
 
-	// prefixWarms counts the warm prefixes RunJobs has computed.
-	prefixWarms atomic.Int64
+	// prefixWarms counts the warm prefixes RunJobs has computed, and sims
+	// the simulations it has run (one per cohort).
+	prefixWarms, sims atomic.Int64
 }
 
 // baselineEntry is one in-flight or completed baseline computation. done is
@@ -237,14 +239,6 @@ func (r *Runner) Baseline(prof trace.Profile) (core.Result, error) {
 // not cached, so a later call with a live context recomputes it; any other
 // error is cached (it is deterministic and would simply recur).
 func (r *Runner) BaselineContext(ctx context.Context, prof trace.Profile) (core.Result, error) {
-	return r.baseline(ctx, prof, nil)
-}
-
-// baseline is BaselineContext for a job of a RunJobs batch: the first job
-// to resolve prof's baseline claims the baseline's slot in the batch's
-// prefix table (nil outside a batch) and, if it runs the simulation,
-// starts it from the shared warm prefix.
-func (r *Runner) baseline(ctx context.Context, prof trace.Profile, tab *prefixTable) (core.Result, error) {
 	for {
 		r.mu.Lock()
 		e, ok := r.baselines[prof.Name]
@@ -252,7 +246,7 @@ func (r *Runner) baseline(ctx context.Context, prof trace.Profile, tab *prefixTa
 			e = &baselineEntry{done: make(chan struct{})}
 			r.baselines[prof.Name] = e
 			r.mu.Unlock()
-			e.res, e.err = r.measureBaseline(ctx, prof, tab)
+			e.res, e.err = r.measureBaseline(ctx, prof)
 			if e.err != nil && errors.Is(e.err, ctx.Err()) {
 				r.mu.Lock()
 				delete(r.baselines, prof.Name)
@@ -262,10 +256,6 @@ func (r *Runner) baseline(ctx context.Context, prof trace.Profile, tab *prefixTa
 			return e.res, e.err
 		}
 		r.mu.Unlock()
-		if key, ok := tab.claimBaseline(prof.Name); ok {
-			// Someone else simulates it; this batch's slot goes unused.
-			tab.release(key)
-		}
 		select {
 		case <-e.done:
 			if e.err != nil && (errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
@@ -279,19 +269,9 @@ func (r *Runner) baseline(ctx context.Context, prof trace.Profile, tab *prefixTa
 	}
 }
 
-// measureBaseline runs the uncached no-DTM simulation, from the batch's
-// shared warm prefix when tab holds one for it.
-func (r *Runner) measureBaseline(ctx context.Context, prof trace.Profile, tab *prefixTable) (core.Result, error) {
-	cfg := r.instrument(r.opts.Config)
-	if key, ok := tab.claimBaseline(prof.Name); !ok {
-		tab = nil
-	} else if key != prefixKey(cfg, prof) {
-		// The batch planned this baseline from a job whose profile differs
-		// under the same name; simulate it on its own.
-		tab.release(key)
-		tab = nil
-	}
-	sim, err := tab.startSim(ctx, cfg, prof, nil)
+// measureBaseline runs an uncached no-DTM simulation.
+func (r *Runner) measureBaseline(ctx context.Context, prof trace.Profile) (core.Result, error) {
+	sim, err := core.New(r.instrument(r.opts.Config), prof, nil)
 	if err != nil {
 		return core.Result{}, err
 	}
@@ -299,13 +279,19 @@ func (r *Runner) measureBaseline(ctx context.Context, prof trace.Profile, tab *p
 	if err != nil {
 		return core.Result{}, err
 	}
+	r.baselineDone(prof, res)
+	return res, nil
+}
+
+// baselineDone accounts one finished baseline: its instructions in the
+// registry and the debug log.
+func (r *Runner) baselineDone(prof trace.Profile, res core.Result) {
 	if r.metrics != nil {
 		r.metrics.Counter(obs.MetricInstructions).Add(int64(res.Instructions))
 	}
 	if r.log != nil {
 		r.log.Debug("run", "bench", prof.Name, "policy", "none", "maxT", res.MaxTemp)
 	}
-	return res, nil
 }
 
 // instrument chains a per-run metrics tracer onto cfg when the runner has
@@ -336,27 +322,18 @@ func (r *Runner) Run(prof trace.Profile, factory PolicyFactory) (Measurement, er
 // still taken from the runner's base config, which is what the paper
 // normalizes against).
 func (r *Runner) RunWithConfig(cfg core.Config, prof trace.Profile, factory PolicyFactory) (Measurement, error) {
-	return r.runJob(context.Background(), Job{Config: cfg, Profile: prof, Factory: factory}, nil)
+	return r.RunJobContext(context.Background(), Job{Config: cfg, Profile: prof, Factory: factory})
 }
 
 // RunJobContext executes one job on the calling goroutine, sharing the
 // runner's singleflight baseline cache and metrics registry with every
-// other caller. It is the entry point for drivers that manage their own
-// concurrency (the dtmserve worker pool); batch drivers use RunJobs.
+// other caller: resolve the baseline, build a fresh policy, simulate from
+// scratch and normalize. It is the entry point for drivers that manage
+// their own concurrency (the dtmserve worker pool); batch drivers use
+// RunJobs.
 func (r *Runner) RunJobContext(ctx context.Context, job Job) (Measurement, error) {
-	return r.runJob(ctx, job, nil)
-}
-
-// runJob executes one simulation job: resolve the baseline (shared via the
-// singleflight cache), build a fresh policy, run, and normalize. Inside a
-// RunJobs batch tab is the batch's prefix table and the job (and the
-// baseline, if this job simulates it) starts from the shared warm prefix;
-// with a nil tab the job computes its own. Job wall-clock latency feeds
-// the pool.job_s histogram when a registry is attached — latency is host
-// time, so it never influences Measurements.
-func (r *Runner) runJob(ctx context.Context, job Job, tab *prefixTable) (Measurement, error) {
 	start := time.Now() //dtmlint:allow detguard host-side job latency metric; never feeds Measurements
-	base, err := r.baseline(ctx, job.Profile, tab)
+	base, err := r.BaselineContext(ctx, job.Profile)
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -364,8 +341,7 @@ func (r *Runner) runJob(ctx context.Context, job Job, tab *prefixTable) (Measure
 	if err != nil {
 		return Measurement{}, err
 	}
-	cfg := r.instrument(job.Config)
-	sim, err := tab.startSim(ctx, cfg, job.Profile, pol)
+	sim, err := core.New(r.instrument(job.Config), job.Profile, pol)
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -373,6 +349,15 @@ func (r *Runner) runJob(ctx context.Context, job Job, tab *prefixTable) (Measure
 	if err != nil {
 		return Measurement{}, err
 	}
+	r.jobDone(job, res, start)
+	return measure(job, res, base), nil
+}
+
+// jobDone accounts one finished job: the pool.jobs_done counter, its
+// instructions, its wall-clock latency since start in the pool.job_s
+// histogram when a registry is attached (latency is host time, so it
+// never influences Measurements), and the debug log.
+func (r *Runner) jobDone(job Job, res core.Result, start time.Time) {
 	if r.metrics != nil {
 		r.metrics.Counter(obs.MetricPoolJobs).Inc()
 		r.metrics.Counter(obs.MetricInstructions).Add(int64(res.Instructions))
@@ -383,6 +368,10 @@ func (r *Runner) runJob(ctx context.Context, job Job, tab *prefixTable) (Measure
 		r.log.Debug("run", "bench", job.Profile.Name, "policy", job.Factory.Name,
 			"maxT", res.MaxTemp, "violated", res.Violated())
 	}
+}
+
+// measure normalizes a job's Result against its benchmark's baseline.
+func measure(job Job, res, base core.Result) Measurement {
 	basePerInst := base.WallTime / float64(base.Instructions)
 	perInst := res.WallTime / float64(res.Instructions)
 	return Measurement{
@@ -390,7 +379,7 @@ func (r *Runner) runJob(ctx context.Context, job Job, tab *prefixTable) (Measure
 		Policy:    job.Factory.Name,
 		Slowdown:  perInst / basePerInst,
 		Result:    res,
-	}, nil
+	}
 }
 
 // Suite runs every benchmark under the factory and returns measurements in

@@ -28,10 +28,12 @@ func prefixKey(cfg core.Config, prof trace.Profile) string {
 }
 
 // prefixTable shares warm prefixes among the consumers of one RunJobs
-// call. Consumers are counted up front; each key's prefix is computed once
-// (singleflight), every consumer but the last restores a copy of it into
-// its own simulator, the last takes the prefix's core itself, and the
-// entry is then dropped, so a prefix lives only while consumers remain.
+// call. Consumers are counted up front. A simulation acquires its leader's
+// slot, and each follower that stays attached to it releases its own. Each
+// key's prefix is computed once (singleflight); every acquirer but the
+// last restores a copy of it into its own simulator, the last takes the
+// prefix's core itself, and the entry is then dropped, so a prefix lives
+// only while consumers remain.
 //
 // Cancellation and errors mirror the baseline singleflight: a warm-up
 // aborted by its owner's cancellation is forgotten and the next waiter
@@ -42,9 +44,6 @@ type prefixTable struct {
 
 	mu      sync.Mutex
 	entries map[string]*prefixEntry // guarded-by: mu
-	// baselines maps a profile name to the prefix key of its not-yet-cached
-	// baseline until the first job that resolves that baseline claims it.
-	baselines map[string]string // guarded-by: mu
 }
 
 // prefixEntry is one key's sharing state.
@@ -63,11 +62,7 @@ type prefixFlight struct {
 }
 
 func newPrefixTable(warm func(context.Context, core.Config, trace.Profile) (*core.Prefix, error)) *prefixTable {
-	return &prefixTable{
-		warm:      warm,
-		entries:   make(map[string]*prefixEntry),
-		baselines: make(map[string]string),
-	}
+	return &prefixTable{warm: warm, entries: make(map[string]*prefixEntry)}
 }
 
 // addConsumer registers one more consumer of key.
@@ -80,28 +75,6 @@ func (t *prefixTable) addConsumer(key string) {
 		t.entries[key] = e
 	}
 	e.refs++
-}
-
-// addBaseline registers the baseline of profile name as a consumer of key.
-func (t *prefixTable) addBaseline(name, key string) {
-	t.addConsumer(key)
-	t.mu.Lock()
-	t.baselines[name] = key
-	t.mu.Unlock()
-}
-
-// claimBaseline hands out the baseline consumer slot of profile name, once.
-// The claimant must either acquire the returned key or release it. A nil
-// table has no slots.
-func (t *prefixTable) claimBaseline(name string) (string, bool) {
-	if t == nil {
-		return "", false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	key, ok := t.baselines[name]
-	delete(t.baselines, name)
-	return key, ok
 }
 
 // release gives up a consumer slot without acquiring it.
@@ -186,12 +159,9 @@ func (t *prefixTable) acquire(ctx context.Context, key string, cfg core.Config, 
 	}
 }
 
-// startSim builds the simulator of one consumer of t: from the shared
-// warm prefix, or from scratch (core.New) when t is nil.
+// startSim builds the simulator of one consumer of t from the shared warm
+// prefix.
 func (t *prefixTable) startSim(ctx context.Context, cfg core.Config, prof trace.Profile, pol dtm.Policy) (*core.Simulator, error) {
-	if t == nil {
-		return core.New(cfg, prof, pol)
-	}
 	p, take, done, err := t.acquire(ctx, prefixKey(cfg, prof), cfg, prof)
 	if err != nil {
 		return nil, err

@@ -133,12 +133,18 @@ func TestRunJobsCachedBaselineNotAConsumer(t *testing.T) {
 		{Config: opts.Config, Profile: prof, Factory: FGPolicy(opts.Config)},
 		{Config: opts.Config, Profile: prof, Factory: DVSPolicy(opts.Config)},
 	}
-	tab, _ := r.planPrefixes(jobs)
-	tab.mu.Lock()
-	refs, planned := tab.entries[prefixKey(opts.Config, prof)].refs, len(tab.baselines)
-	tab.mu.Unlock()
+	b := r.planBatch(jobs)
+	b.tab.mu.Lock()
+	refs := b.tab.entries[prefixKey(opts.Config, prof)].refs
+	b.tab.mu.Unlock()
+	planned := 0
+	for _, c := range b.cons {
+		if c.job < 0 {
+			planned++
+		}
+	}
 	if refs != 2 || planned != 0 {
-		t.Errorf("plan: %d consumers and %d baseline slots, want 2 and 0", refs, planned)
+		t.Errorf("plan: %d consumers and %d baselines, want 2 and 0", refs, planned)
 	}
 	if _, err := r.RunJobs(context.Background(), jobs); err != nil {
 		t.Fatal(err)

@@ -472,6 +472,7 @@ const (
 	MetricPoolJobs       = "pool.jobs_done"          // counter: pool jobs completed
 	MetricPoolJobSeconds = "pool.job_s"              // histogram: per-job wall-clock latency
 	MetricPoolActive     = "pool.active_workers"     // gauge: workers currently running a job
+	MetricPoolJobPanics  = "pool.job_panics"         // counter: jobs that failed with a recovered panic
 
 	// Job-server (internal/serve) metrics. serve.job_s measures
 	// submission-to-completion latency as the server saw it, including

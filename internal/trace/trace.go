@@ -173,12 +173,18 @@ func newXorshift(seed uint64) xorshift64 {
 }
 
 func (x *xorshift64) next() uint64 {
-	s := x.s
+	var v uint64
+	x.s, v = step(x.s)
+	return v
+}
+
+// step advances the xorshift64* state s and returns the new state and the
+// draw. Fill keeps s in a local and calls step directly.
+func step(s uint64) (uint64, uint64) {
 	s ^= s >> 12
 	s ^= s << 25
 	s ^= s >> 27
-	x.s = s
-	return s * 0x2545F4914F6CDD1D
+	return s, s * 0x2545F4914F6CDD1D
 }
 
 // float64v returns a uniform float in [0,1). Multiplying by the exact
@@ -187,6 +193,23 @@ func (x *xorshift64) next() uint64 {
 func (x *xorshift64) float64v() float64 {
 	return float64(x.next()>>11) * (1.0 / (1 << 53))
 }
+
+// threshold turns the draw test float64v() < f into the integer test
+// v>>11 < threshold(f) on the draw v, whose top 53 bits u make up
+// float64v = u·2⁻⁵³. Scaling by 2⁵³ is exact, so u·2⁻⁵³ < f holds
+// exactly when u < f·2⁵³, and for an integer u exactly when u < ⌈f·2⁵³⌉.
+func threshold(f float64) uint64 {
+	if !(f > 0) {
+		return 0
+	}
+	if f >= 1 {
+		return 1 << 53
+	}
+	return uint64(math.Ceil(f * (1 << 53)))
+}
+
+// half is threshold(0.5).
+const half = 1 << 52
 
 // intn returns a uniform int in [0,n).
 func (x *xorshift64) intn(n int) int {
@@ -219,7 +242,6 @@ type Generator struct {
 	phase     int
 	phaseLeft int
 	geomP     float64 // current geometric parameter for dep distance
-	spillProb float64 // current spill probability
 	// depTable is an inverse-CDF lookup for the dependency-distance
 	// distribution, rebuilt per phase; sampling through it avoids a log()
 	// on the per-instruction hot path.
@@ -227,11 +249,13 @@ type Generator struct {
 	loopTarget uint64 // current loop-back address for taken branches
 	loopLeft   int    // iterations left before picking a new loop
 
-	// mixT holds the cumulative class thresholds of the mix, precomputed
-	// at construction with the same left-to-right additions the class
-	// switch used to perform per instruction, so the comparisons are
-	// bit-identical to the original cascading sums.
-	mixT [6]float64
+	// Integer forms (see threshold) of every probability Fill draws
+	// against: the cumulative class probabilities of the mix, summed left
+	// to right, the independent-instruction fraction and the patterned
+	// branch bias, set at construction; the phase's spill probability, set
+	// by enterPhase.
+	mixThr                      [6]uint64
+	indepThr, biasThr, spillThr uint64
 }
 
 // NewGenerator builds a generator; the stream it produces is a pure
@@ -247,12 +271,18 @@ func NewGenerator(p Profile) (*Generator, error) {
 		dataBase: 0x1000_0000,
 		coldBase: 0x4000_0000,
 	}
-	g.mixT[0] = p.Mix.Load
-	g.mixT[1] = p.Mix.Load + p.Mix.Store
-	g.mixT[2] = p.Mix.Load + p.Mix.Store + p.Mix.Branch
-	g.mixT[3] = p.Mix.Load + p.Mix.Store + p.Mix.Branch + p.Mix.FPAdd
-	g.mixT[4] = p.Mix.Load + p.Mix.Store + p.Mix.Branch + p.Mix.FPAdd + p.Mix.FPMul
-	g.mixT[5] = p.Mix.total()
+	for k, f := range [...]float64{
+		p.Mix.Load,
+		p.Mix.Load + p.Mix.Store,
+		p.Mix.Load + p.Mix.Store + p.Mix.Branch,
+		p.Mix.Load + p.Mix.Store + p.Mix.Branch + p.Mix.FPAdd,
+		p.Mix.Load + p.Mix.Store + p.Mix.Branch + p.Mix.FPAdd + p.Mix.FPMul,
+		p.Mix.total(),
+	} {
+		g.mixThr[k] = threshold(f)
+	}
+	g.indepThr = threshold(p.IndepFrac)
+	g.biasThr = threshold(p.PatternedBias)
 	g.pc = g.codeBase
 	for i := range g.dstHist {
 		g.dstHist[i] = uint8(i % 32)
@@ -319,12 +349,13 @@ func (g *Generator) enterPhase(i int) {
 	}
 	g.phase = i
 	g.geomP = 1 / dep
-	g.spillProb = spill
 	g.buildDepTable()
+	g.spillThr = threshold(spill)
 }
 
 // buildDepTable tabulates the inverse CDF of the geometric dependency
-// distance (quantized to 1/1024) so depDist is a single table lookup.
+// distance (quantized to 1/1024) so drawing a distance is a single table
+// lookup (see srcReg).
 func (g *Generator) buildDepTable() {
 	for i := range g.depTable {
 		u := (float64(i) + 0.5) / float64(len(g.depTable))
@@ -339,118 +370,155 @@ func (g *Generator) buildDepTable() {
 	}
 }
 
-// depDist draws a dependency distance ≥ 1 from a geometric distribution
-// with the current mean, via the tabulated inverse CDF.
-func (g *Generator) depDist() int {
-	return int(g.depTable[g.rng.next()>>54]) // top 10 bits index the table
-}
-
-func (g *Generator) srcReg() uint8 {
-	d := g.depDist()
-	idx := (g.histPos - d + len(g.dstHist)) % len(g.dstHist)
-	return g.dstHist[idx]
-}
-
 // Next fills inst with the next dynamic instruction.
 func (g *Generator) Next(inst *Inst) {
-	g.count++
-	g.phaseLeft--
-	if g.phaseLeft <= 0 && len(g.prof.Phases) > 0 {
-		g.enterPhase(g.phase + 1)
-	}
+	var one [1]Inst
+	g.Fill(one[:])
+	*inst = one[0]
+}
 
+// Fill writes the next len(buf) instructions of the stream into buf: the
+// same instructions len(buf) calls of Next would produce. The random
+// state and the stream cursors live in locals for the whole batch, and
+// every probability test compares 53 integer bits against a threshold
+// precomputed per phase (see threshold) instead of converting the draw to
+// a float.
+//
+//dtmlint:allocfree
+func (g *Generator) Fill(buf []Inst) {
 	p := &g.prof
-	r := g.rng.float64v()
-	var class Class
-	switch {
-	case r < g.mixT[0]:
-		class = Load
-	case r < g.mixT[1]:
-		class = Store
-	case r < g.mixT[2]:
-		class = Branch
-	case r < g.mixT[3]:
-		class = FPAdd
-	case r < g.mixT[4]:
-		class = FPMul
-	case r < g.mixT[5]:
-		class = IntMul
-	default:
-		class = IntALU
-	}
-
-	inst.Class = class
-	inst.Addr = 0
-	inst.Taken = false
-
-	// Program counter: straight-line until a branch redirects.
-	inst.PC = g.pc
-	g.pc += 4
-	if g.pc >= g.codeBase+uint64(p.CodeFootprint) {
-		g.pc = g.codeBase
-	}
-
-	// Registers.
-	indep := g.rng.float64v() < p.IndepFrac
-	switch class {
-	case Branch:
-		inst.Dst = NoReg
-		inst.Src1 = g.srcReg()
-		inst.Src2 = NoReg
-	case Store:
-		inst.Dst = NoReg
-		inst.Src1 = g.srcReg() // data
-		inst.Src2 = g.srcReg() // address
-	default:
-		if class.IsFP() {
-			inst.Dst = 32 + g.nextFPReg
-			g.nextFPReg = (g.nextFPReg + 1) % 32
-		} else {
-			inst.Dst = g.nextIntReg
-			g.nextIntReg = (g.nextIntReg + 1) % 32
+	s := g.rng.s
+	var v uint64 // the latest draw
+	pc, codeEnd := g.pc, g.codeBase+uint64(p.CodeFootprint)
+	histPos, nextInt, nextFP := g.histPos, g.nextIntReg, g.nextFPReg
+	phaseLeft := g.phaseLeft
+	loopTarget, loopLeft := g.loopTarget, g.loopLeft
+	nSites := uint64(len(g.branchPC))
+	for k := range buf {
+		inst := &buf[k]
+		phaseLeft--
+		if phaseLeft <= 0 && len(p.Phases) > 0 {
+			g.enterPhase(g.phase + 1)
+			phaseLeft = g.phaseLeft
 		}
-		if indep {
-			inst.Src1, inst.Src2 = NoReg, NoReg
-		} else {
-			inst.Src1 = g.srcReg()
-			if g.rng.float64v() < 0.5 {
-				inst.Src2 = g.srcReg()
+
+		s, v = step(s)
+		u := v >> 11
+		var class Class
+		switch {
+		case u < g.mixThr[0]:
+			class = Load
+		case u < g.mixThr[1]:
+			class = Store
+		case u < g.mixThr[2]:
+			class = Branch
+		case u < g.mixThr[3]:
+			class = FPAdd
+		case u < g.mixThr[4]:
+			class = FPMul
+		case u < g.mixThr[5]:
+			class = IntMul
+		default:
+			class = IntALU
+		}
+
+		inst.Class = class
+		inst.Addr = 0
+		inst.Taken = false
+
+		// Program counter: straight-line until a branch redirects.
+		inst.PC = pc
+		pc += 4
+		if pc >= codeEnd {
+			pc = g.codeBase
+		}
+
+		// Registers.
+		s, v = step(s)
+		indep := v>>11 < g.indepThr
+		switch class {
+		case Branch:
+			inst.Dst = NoReg
+			s, inst.Src1 = g.srcReg(s, histPos)
+			inst.Src2 = NoReg
+		case Store:
+			inst.Dst = NoReg
+			s, inst.Src1 = g.srcReg(s, histPos) // data
+			s, inst.Src2 = g.srcReg(s, histPos) // address
+		default:
+			if class.IsFP() {
+				inst.Dst = 32 + nextFP
+				nextFP = (nextFP + 1) % 32
 			} else {
-				inst.Src2 = NoReg
+				inst.Dst = nextInt
+				nextInt = (nextInt + 1) % 32
+			}
+			if indep {
+				inst.Src1, inst.Src2 = NoReg, NoReg
+			} else {
+				s, inst.Src1 = g.srcReg(s, histPos)
+				if s, v = step(s); v>>11 < half {
+					s, inst.Src2 = g.srcReg(s, histPos)
+				} else {
+					inst.Src2 = NoReg
+				}
+			}
+			g.dstHist[histPos] = inst.Dst
+			histPos = (histPos + 1) % len(g.dstHist)
+		}
+
+		// Memory addresses.
+		if class == Load || class == Store {
+			s, v = step(s)
+			spill := v>>11 < g.spillThr
+			s, v = step(s)
+			if spill {
+				inst.Addr = g.coldBase + v%uint64(p.ColdFootprint)&^7
+			} else {
+				inst.Addr = g.dataBase + v%uint64(p.DataResident)&^7
 			}
 		}
-		g.dstHist[g.histPos] = inst.Dst
-		g.histPos = (g.histPos + 1) % len(g.dstHist)
-	}
 
-	// Memory addresses.
-	if class == Load || class == Store {
-		if g.rng.float64v() < g.spillProb {
-			inst.Addr = g.coldBase + uint64(g.rng.intn(p.ColdFootprint))&^7
-		} else {
-			inst.Addr = g.dataBase + uint64(g.rng.intn(p.DataResident))&^7
-		}
-	}
-
-	// Branches: pick a static site, resolve its direction, redirect PC on
-	// taken branches (loop-style: mostly re-entering a recent region).
-	if class == Branch {
-		site := g.rng.intn(len(g.branchPC))
-		inst.PC = g.branchPC[site]
-		if g.branchPat[site] {
-			inst.Taken = g.branchBias[site] == (g.rng.float64v() < p.PatternedBias)
-		} else {
-			inst.Taken = g.rng.float64v() < 0.5
-		}
-		if inst.Taken {
-			if g.loopLeft <= 0 {
-				// Start a new loop: jump somewhere in the footprint and
-				// stay around it for a while (instruction locality).
-				g.loopTarget = g.codeBase + uint64(g.rng.intn(p.CodeFootprint))&^3
-				g.loopLeft = 16 + g.rng.intn(64)
+		// Branches: pick a static site, resolve its direction, redirect PC
+		// on taken branches (loop-style: mostly re-entering a recent
+		// region).
+		if class == Branch {
+			s, v = step(s)
+			site := v % nSites
+			inst.PC = g.branchPC[site]
+			s, v = step(s)
+			if g.branchPat[site] {
+				inst.Taken = g.branchBias[site] == (v>>11 < g.biasThr)
+			} else {
+				inst.Taken = v>>11 < half
 			}
-			g.loopLeft--
-			g.pc = g.loopTarget
+			if inst.Taken {
+				if loopLeft <= 0 {
+					// Start a new loop: jump somewhere in the footprint
+					// and stay around it for a while (instruction
+					// locality).
+					s, v = step(s)
+					loopTarget = g.codeBase + v%uint64(p.CodeFootprint)&^3
+					s, v = step(s)
+					loopLeft = 16 + int(v%64)
+				}
+				loopLeft--
+				pc = loopTarget
+			}
 		}
 	}
+	g.rng.s = s
+	g.pc, g.histPos, g.nextIntReg, g.nextFPReg = pc, histPos, nextInt, nextFP
+	g.phaseLeft = phaseLeft
+	g.loopTarget, g.loopLeft = loopTarget, loopLeft
+	g.count += uint64(len(buf))
+}
+
+// srcReg draws a source register from the dependency-distance
+// distribution, through the tabulated inverse CDF: the destination written
+// d instructions before histPos. It takes and returns the xorshift state.
+func (g *Generator) srcReg(s uint64, histPos int) (uint64, uint8) {
+	s, v := step(s)
+	d := int(g.depTable[v>>54]) // top 10 bits index the table
+	return s, g.dstHist[(histPos-d+len(g.dstHist))%len(g.dstHist)]
 }
