@@ -251,11 +251,11 @@ func BenchmarkAblationFetchQueue(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := c.Run(500_000, 0, nil); err != nil {
+				if _, err := c.RunGated(500_000, cpu.Gates{}, nil); err != nil {
 					b.Fatal(err)
 				}
 				var act cpu.Activity
-				if _, err := c.Run(500_000, gate, &act); err != nil {
+				if _, err := c.RunGated(500_000, cpu.Gates{Fetch: gate}, &act); err != nil {
 					b.Fatal(err)
 				}
 				return act.IPC()
@@ -374,13 +374,13 @@ func BenchmarkCPUCycles(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := c.Run(200_000, 0, nil); err != nil {
+	if _, err := c.RunGated(200_000, cpu.Gates{}, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	const chunk = 100_000
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Run(chunk, 0, nil); err != nil {
+		if _, err := c.RunGated(chunk, cpu.Gates{}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -58,11 +58,11 @@ func main() {
 	}
 
 	// Warm caches, measure activity, seed the thermal steady state.
-	if _, err := core.Run(2_000_000, 0, nil); err != nil {
+	if _, err := core.RunGated(2_000_000, cpu.Gates{}, nil); err != nil {
 		log.Fatal(err)
 	}
 	var act cpu.Activity
-	if _, err := core.Run(1_000_000, 0, &act); err != nil {
+	if _, err := core.RunGated(1_000_000, cpu.Gates{}, &act); err != nil {
 		log.Fatal(err)
 	}
 	activity, err := act.BlockActivity(fp, nil)
@@ -102,7 +102,7 @@ func main() {
 	nextRow := 0.0
 	for tm.Time() < *totalMS*1e-3 {
 		act.Reset()
-		if _, err := core.Run(stepCycles, 0, &act); err != nil {
+		if _, err := core.RunGated(stepCycles, cpu.Gates{}, &act); err != nil {
 			log.Fatal(err)
 		}
 		activity, err = act.BlockActivity(fp, activity)

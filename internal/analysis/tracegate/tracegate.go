@@ -1,10 +1,12 @@
 // Package tracegate defines the dtmlint analyzer that preserves the
 // observability layer's zero-cost-when-disabled contract in the
-// simulation hot path. internal/core hoists the configured Tracer into a
-// local (`tr := s.cfg.Tracer`) and guards every emission with one
-// `if tr != nil` branch, which is what keeps the nil-tracer overhead at
-// ≈0.6% (gated by the BenchmarkCoupledLoop/TracerNil pair). The analyzer
-// enforces both halves of that pattern inside internal/core:
+// simulation hot path. internal/core reaches the configured Tracer only
+// through the coupled loop's observer, which hoists it into a local
+// (`if tr := in.tr; tr != nil`) around every emission; with no tracer
+// and no profiler there is no observer and the loop pays one nil check
+// per phase boundary (gated by the BenchmarkCoupledLoop/TracerNil pair).
+// The analyzer enforces both halves of the hoisted-guard pattern inside
+// internal/core:
 //
 //   - a Tracer method call whose receiver is not a plain local/parameter
 //     identifier (e.g. s.cfg.Tracer.Emit(...)) is flagged: re-reading the

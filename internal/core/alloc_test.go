@@ -3,21 +3,21 @@ package core
 import (
 	"testing"
 
-	"hybriddtm/internal/cpu"
 	"hybriddtm/internal/dtm"
 	"hybriddtm/internal/dvfs"
 	"hybriddtm/internal/sensor"
 )
 
 // TestCoupledStepAllocationFree pins the zero-allocation contract of the
-// coupled-loop step pipeline: once the simulator is warm (buffers sized,
-// thermal factorizations cached), one full step — execute, map activity to
-// blocks, evaluate power, advance the thermal model, read sensors, run the
-// policy — must not touch the heap. The hot loop runs this pipeline every
+// coupled-loop step: once the simulator is warm (buffers sized, thermal
+// factorizations cached), one full unobserved step — execute, map activity
+// to blocks, evaluate power, advance the thermal model, read sensors, run
+// the policy, actuate — must not touch the heap. The hot loop runs it every
 // 10k simulated cycles, so a single stray allocation multiplies into GC
 // pressure across the paper's billion-instruction sweeps.
 func TestCoupledStepAllocationFree(t *testing.T) {
 	cfg := quickConfig()
+	cfg.Sensors.SampleRate = 1e6 // a sample, and a decision, in every step
 	ladder, err := dvfs.Binary(cfg.Tech, cfg.VMinFrac)
 	if err != nil {
 		t.Fatal(err)
@@ -31,96 +31,21 @@ func TestCoupledStepAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A short run settles the simulator exactly like Run does: init
-	// steady state, warm caches, size every reusable buffer.
+	// steady state, warm caches, cache every factorization.
 	if _, err := sim.Run(200_000); err != nil {
 		t.Fatal(err)
 	}
 
-	op := sim.ladder.Point(0)
-	dt := float64(cfg.ThermalStepCycles) / op.F
-	var act cpu.Activity
-	var activity, pvec, temps, readings []float64
-	temps = sim.tm.BlockTemps(temps)
-
+	l := sim.newLoop(1<<40, nil) // a window that outlasts the test
 	step := func() {
-		act.Reset()
-		if _, err := sim.core.RunGated(uint64(cfg.ThermalStepCycles), cpu.Gates{}, &act); err != nil {
+		if _, err := l.step(); err != nil {
 			t.Fatal(err)
 		}
-		activity, err = act.BlockActivity(sim.fp, activity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pvec, err = sim.pm.Compute(pvec, activity, 1, op.V, op.F, temps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sim.tm.Step(pvec, dt); err != nil {
-			t.Fatal(err)
-		}
-		temps = sim.tm.BlockTemps(temps)
-		readings, err = sim.bank.Read(readings, temps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = sim.policy.Sample(sensor.Max(readings), dt)
 	}
 	step() // size activity/pvec/readings before measuring
 
 	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
 		t.Errorf("coupled-loop step allocates %.1f times per iteration, want 0", allocs)
-	}
-}
-
-// TestMultiRateStepAllocationFree extends the zero-allocation contract to
-// the fused multi-rate step: a K-wide batch runs K·ThermalStepCycles
-// through the CPU and solves one backward-Euler system at dt·K. The
-// thermal model caches one factorization per distinct dt, so after the
-// first fused solve (excluded, like every other warm-up) the fused path
-// must be as heap-silent as the 1:1 path.
-func TestMultiRateStepAllocationFree(t *testing.T) {
-	cfg := quickConfig()
-	sim, err := New(cfg, gzipProfile(t), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Run(200_000); err != nil {
-		t.Fatal(err)
-	}
-
-	const k = 8
-	op := sim.ladder.Point(0)
-	dt := float64(cfg.ThermalStepCycles) / op.F * k
-	var act cpu.Activity
-	var activity, pvec, temps []float64
-	temps = sim.tm.BlockTemps(temps)
-
-	step := func() {
-		act.Reset()
-		if !sim.mrHeadroom(temps, cfg.Trigger) {
-			// Only the check's cost matters here; headroom itself varies.
-			_ = temps
-		}
-		if _, err := sim.core.RunGated(uint64(cfg.ThermalStepCycles)*k, cpu.Gates{}, &act); err != nil {
-			t.Fatal(err)
-		}
-		activity, err = act.BlockActivity(sim.fp, activity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pvec, err = sim.pm.Compute(pvec, activity, 1, op.V, op.F, temps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sim.tm.Step(pvec, dt); err != nil {
-			t.Fatal(err)
-		}
-		temps = sim.tm.BlockTemps(temps)
-	}
-	step() // warm the dt·K backward-Euler factorization
-
-	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
-		t.Errorf("fused multi-rate step allocates %.1f times per iteration, want 0", allocs)
 	}
 }
 

@@ -25,7 +25,6 @@ import (
 	"hybriddtm/internal/obs"
 	"hybriddtm/internal/power"
 	"hybriddtm/internal/sensor"
-	"hybriddtm/internal/stats"
 	"hybriddtm/internal/trace"
 )
 
@@ -43,24 +42,6 @@ type Config struct {
 	// ThermalStepCycles is the power-averaging interval (§3: 10 000 cycles
 	// keeps sampling error below 0.1% with <1% simulation overhead).
 	ThermalStepCycles int
-
-	// MultiRateMax enables multi-rate integration when > 1: while the DTM
-	// actuators are idle and every expected sensor reading (true block
-	// temperature plus fixed sensor offset) sits at least MultiRateMargin
-	// kelvin below Trigger, up to MultiRateMax thermal steps are fused into
-	// one — one CPU batch, one power average, one backward-Euler solve over
-	// the combined interval. Fusion never crosses a sensor sample boundary,
-	// so the policy sees the same sampling times; near the trigger the loop
-	// collapses back to 1:1, so crossings and policy decisions are taken on
-	// the fine grid. With MultiRateMax ≤ 1 (the default) the stepping is
-	// bit-identical to the reference loop.
-	MultiRateMax int
-
-	// MultiRateMargin is the headroom (K) below Trigger required before
-	// steps are fused. It must exceed the sensor error envelope
-	// (sensor.Config.WorstCaseError) so a fused interval cannot hide a
-	// reading the policy would have acted on.
-	MultiRateMargin float64
 
 	// DVSSwitchTime is the voltage/frequency transition time; DVSStall
 	// selects whether the pipeline stalls through it ("stall") or keeps
@@ -95,20 +76,21 @@ type Config struct {
 	// Tracer, when non-nil, receives the run's typed event stream (thermal
 	// steps, sensor samples, policy decisions, actuator changes, threshold
 	// crossings — see internal/obs). Events start after warm-up, i.e. the
-	// settle phase is included and flagged via Event.Measuring. The nil
-	// case is the fast path: one branch per thermal step, no allocation
-	// (<2% overhead, gated by the root BenchmarkTracer* benches). A Tracer
-	// instance belongs to one run; concurrent simulations must not share
-	// one (share a metrics Registry via per-run MetricsTracers instead).
+	// settle phase is included and flagged via Event.Measuring. Tracer and
+	// Profiler reach the loop through one observer built per run; with both
+	// nil there is none, and each phase boundary costs one nil check and no
+	// allocation (<2% overhead, gated by the root BenchmarkTracer* benches).
+	// A Tracer instance belongs to one run; concurrent simulations must not
+	// share one (share a metrics Registry via per-run MetricsTracers
+	// instead).
 	Tracer obs.Tracer
 
 	// Profiler, when non-nil, attributes coupled-loop wall time,
 	// invocation counts and allocation deltas to named stages (see
-	// obs.StageProfiler). Like Tracer it is hoisted into a local and
-	// every call site sits behind one `if sp != nil` branch, so the nil
-	// case stays allocation-free and within ~1% of baseline (gated by
-	// the root BenchmarkStageProfiler* pair). A StageProfiler belongs to
-	// one run; concurrent simulations must not share one.
+	// obs.StageProfiler), through the same observer as Tracer; the nil
+	// case stays allocation-free and within ~1% of baseline (gated by the
+	// root BenchmarkStageProfiler* pair). A StageProfiler belongs to one
+	// run; concurrent simulations must not share one.
 	Profiler *obs.StageProfiler
 
 	// SettleInstructions are executed with the DTM policy live before
@@ -133,8 +115,6 @@ func DefaultConfig() Config {
 		Sensors: sensor.DefaultConfig(),
 
 		ThermalStepCycles: 10_000,
-		MultiRateMax:      1, // disabled; opt in via experiments -multirate
-		MultiRateMargin:   3,
 		DVSSwitchTime:     10e-6,
 		DVSStall:          true,
 
@@ -168,12 +148,6 @@ func (c Config) Validate() error {
 	}
 	if c.ThermalStepCycles <= 0 {
 		return fmt.Errorf("core: thermal step %d must be positive", c.ThermalStepCycles)
-	}
-	if c.MultiRateMax < 0 {
-		return fmt.Errorf("core: MultiRateMax %d must be ≥ 0", c.MultiRateMax)
-	}
-	if c.MultiRateMax > 1 && !(c.MultiRateMargin > 0) {
-		return fmt.Errorf("core: MultiRateMargin %v must be positive when multi-rate is enabled", c.MultiRateMargin)
 	}
 	if c.DVSSwitchTime < 0 {
 		return fmt.Errorf("core: negative DVS switch time %v", c.DVSSwitchTime)
@@ -480,19 +454,6 @@ func (s *Simulator) Core() *cpu.Core { return s.core }
 // (see sensor.Bank.SetStuck).
 func (s *Simulator) Sensors() *sensor.Bank { return s.bank }
 
-// mrHeadroom reports whether every expected sensor reading — true block
-// temperature plus the sensor's fixed offset — sits at or below limit, i.e.
-// the chip is far enough below Trigger that a fused multi-rate interval
-// cannot mask a reading the policy would have acted on.
-func (s *Simulator) mrHeadroom(temps []float64, limit float64) bool {
-	for i, t := range temps {
-		if t+s.bank.Offset(i) > limit {
-			return false
-		}
-	}
-	return true
-}
-
 // warm is the policy-free half of the paper's §3 startup: caches and
 // predictor are first warmed in full detail (WarmupCycles), then
 // InitCycles of warmed execution measure the workload's activity, which
@@ -501,14 +462,14 @@ func warm(ctx context.Context, c *cpu.Core, cfg Config, fp *floorplan.Floorplan)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if _, err := c.Run(cfg.WarmupCycles, 0, nil); err != nil {
+	if _, err := c.RunGated(cfg.WarmupCycles, cpu.Gates{}, nil); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	var act cpu.Activity
-	if _, err := c.Run(cfg.InitCycles, 0, &act); err != nil {
+	if _, err := c.RunGated(cfg.InitCycles, cpu.Gates{}, &act); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -599,384 +560,4 @@ func (s *Simulator) initSteadyState(ctx context.Context) error {
 		s.tm.ShiftBlocks(s.cfg.Trigger - reading)
 	}
 	return nil
-}
-
-// Run executes until the given number of instructions commit after warmup,
-// and returns the run summary.
-func (s *Simulator) Run(instructions uint64) (Result, error) {
-	return s.RunContext(context.Background(), instructions)
-}
-
-// RunContext is Run with cancellation: the context is checked between the
-// warmup/init phases and once per thermal step (10 000 cycles of simulated
-// execution, i.e. a few microseconds of real time), so concurrent drivers
-// can abort a sweep promptly on the first error. A canceled run returns
-// ctx.Err() and leaves no partial Result.
-//
-//dtmlint:allocfree
-func (s *Simulator) RunContext(ctx context.Context, instructions uint64) (Result, error) {
-	if instructions == 0 {
-		return Result{}, errors.New("core: zero instruction target")
-	}
-	if s.ran {
-		return Result{}, errors.New("core: Simulator.Run called twice; build a fresh Simulator per run")
-	}
-	s.ran = true
-	if err := s.initSteadyState(ctx); err != nil { //dtmlint:allow allocguard one-time init before the measured loop
-		return Result{}, err
-	}
-
-	res := Result{Benchmark: s.prof.Name, Policy: s.policy.Name()}
-	nomF := s.ladder.Nominal().F
-	stepCycles := uint64(s.cfg.ThermalStepCycles)
-	samplePeriod := s.cfg.Sensors.SamplePeriod()
-
-	// Observability: tr is hoisted so the disabled path is one nil check
-	// per emission site. Crossing state tracks the hottest *true*
-	// temperature against the thresholds so traces pinpoint when and for
-	// how long the chip sat above the trigger.
-	tr := s.cfg.Tracer
-	// sp follows the same hoisted-guard discipline; spActive caches the
-	// per-step sampling decision (StepTick) so unsampled steps pay the
-	// nil check alone.
-	sp := s.cfg.Profiler
-	spActive := false
-	var stepIdx uint64
-	wasAboveTrigger, wasAboveEmergency := false, false
-	prevGate, prevClockStop := 0.0, false
-	if tr != nil {
-		blocks := make([]string, s.fp.NumBlocks())
-		for i := range blocks {
-			blocks[i] = s.fp.Block(i).Name
-		}
-		tr.Begin(obs.Meta{
-			Benchmark:         s.prof.Name,
-			Policy:            s.policy.Name(),
-			Blocks:            blocks,
-			ThermalStepCycles: s.cfg.ThermalStepCycles,
-			SamplePeriod:      samplePeriod,
-			Trigger:           s.cfg.Trigger,
-			Emergency:         s.cfg.EmergencyThreshold,
-		})
-		defer tr.End()
-	}
-
-	// Actuator state.
-	level := 0
-	gates := cpu.Gates{}
-	clockStop := false
-	var stallRemaining float64 // DVS-stall in progress
-	pendingLevel := -1         // DVS-ideal scheduled level
-	var pendingAt float64
-
-	wall := 0.0 // simulated seconds since the settle phase began
-	nextSample := samplePeriod
-	measuring := s.cfg.SettleInstructions == 0
-	settleTarget := s.core.Committed() + s.cfg.SettleInstructions
-	startCommitted := s.core.Committed()
-	startCycles := s.core.Cycle()
-	startWall := 0.0
-	committedTarget := startCommitted + instructions
-
-	var act cpu.Activity
-	var activity, pvec, temps, readings []float64
-	temps = s.tm.BlockTemps(temps)
-
-	maxTemp := -1e9
-	hottest := 0
-	var energy float64
-
-	// Multi-rate integration state (Config.MultiRateMax). mrLimit is the
-	// highest expected sensor reading that still counts as "ample headroom".
-	mrMax := s.cfg.MultiRateMax
-	mrLimit := s.cfg.Trigger - s.cfg.MultiRateMargin
-
-	for {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		op := s.ladder.Point(level)
-		dt := float64(stepCycles) / op.F
-		clockFrac := 1.0
-		stalled := false
-		act.Reset()
-
-		// Multi-rate fusion: with every actuator idle and every expected
-		// sensor reading at least MultiRateMargin below Trigger, fuse up to
-		// mrMax thermal steps into one CPU batch, one power average, and one
-		// backward-Euler solve over dt·k. The candidate check reads true
-		// temperatures plus fixed sensor offsets only — no bank.Read, so the
-		// sensor-noise RNG stream is untouched — and k is capped so fusion
-		// never crosses the next sample boundary: the policy samples at the
-		// same wall times either way. When the check fails (or mrMax ≤ 1)
-		// this is a fall-through and the step below is bit-identical to the
-		// reference loop.
-		runCycles := stepCycles
-		if mrMax > 1 && level == 0 && !clockStop && stallRemaining <= 0 &&
-			pendingLevel < 0 &&
-			stats.SameFloat(gates.Fetch, 0) && stats.SameFloat(gates.Int, 0) &&
-			stats.SameFloat(gates.FP, 0) && stats.SameFloat(gates.Mem, 0) &&
-			s.mrHeadroom(temps, mrLimit) {
-			if room := nextSample - wall; room > dt {
-				k := int(room / dt)
-				if k > mrMax {
-					k = mrMax
-				}
-				if k > 1 {
-					runCycles = stepCycles * uint64(k)
-					dt *= float64(k)
-				}
-			}
-		}
-
-		if sp != nil {
-			spActive = sp.StepTick()
-		}
-		if sp != nil && spActive {
-			sp.Begin(obs.StageCPUCommit) // opens the cpu pipeline window
-		}
-		switch {
-		case clockStop:
-			// Global clock stopped: no execution, no dynamic power at all.
-			clockFrac = 0
-			act.Cycles = 0
-		case stallRemaining > 0:
-			// DVS transition with pipeline stalled: clock runs (idle
-			// power), nothing executes.
-			stalled = true
-			if stallRemaining < dt {
-				dt = stallRemaining
-			}
-			stallRemaining -= dt
-		case sp != nil && spActive:
-			if _, err := s.core.RunGatedProfiled(runCycles, gates, &act, sp); err != nil {
-				return Result{}, err
-			}
-		default:
-			if _, err := s.core.RunGated(runCycles, gates, &act); err != nil {
-				return Result{}, err
-			}
-		}
-		if sp != nil && spActive {
-			sp.EndCPU()
-		}
-
-		var err error
-		if sp != nil && spActive {
-			sp.Begin(obs.StagePowerCompute)
-		}
-		activity, err = act.BlockActivity(s.fp, activity)
-		if err != nil {
-			return Result{}, err
-		}
-		pvec, err = s.pm.Compute(pvec, activity, clockFrac, op.V, op.F, temps)
-		if err != nil {
-			return Result{}, err
-		}
-		if sp != nil && spActive {
-			sp.End(obs.StagePowerCompute)
-			sp.Begin(obs.StageThermalStep)
-		}
-		if err := s.tm.Step(pvec, dt); err != nil {
-			return Result{}, err
-		}
-		temps = s.tm.BlockTemps(temps)
-		if sp != nil && spActive {
-			sp.End(obs.StageThermalStep)
-		}
-		wall += dt
-		stepIdx++
-
-		var hi int
-		var ht float64
-		if measuring || tr != nil {
-			hi, ht = s.tm.MaxBlockTemp()
-		}
-		if sp != nil && spActive && tr != nil {
-			sp.Begin(obs.StageTraceEmit)
-		}
-		if tr != nil {
-			tr.Emit(&obs.Event{
-				Kind: obs.KindStep, Time: wall, Cycle: s.core.Cycle(), Step: stepIdx, Measuring: measuring,
-				Dt: dt, Temps: temps, Power: pvec, MaxTemp: ht, Hottest: hi,
-				Level: level, GateFrac: gates.Fetch, ClockStop: clockStop,
-				Stalled: stalled, StallRemaining: stallRemaining,
-			})
-			if above := ht > s.cfg.Trigger; above != wasAboveTrigger {
-				wasAboveTrigger = above
-				tr.Emit(&obs.Event{Kind: obs.KindCrossing, Time: wall, Cycle: s.core.Cycle(), Step: stepIdx,
-					Measuring: measuring, Threshold: "trigger", Above: above, MaxTemp: ht})
-			}
-			if above := ht > s.cfg.EmergencyThreshold; above != wasAboveEmergency {
-				wasAboveEmergency = above
-				tr.Emit(&obs.Event{Kind: obs.KindCrossing, Time: wall, Cycle: s.core.Cycle(), Step: stepIdx,
-					Measuring: measuring, Threshold: "emergency", Above: above, MaxTemp: ht})
-			}
-		}
-		if sp != nil && spActive && tr != nil {
-			sp.End(obs.StageTraceEmit)
-		}
-
-		// Bookkeeping on true temperatures, once the DTM controllers have
-		// settled.
-		if measuring {
-			if ht > maxTemp {
-				maxTemp, hottest = ht, hi
-			}
-			if ht > s.cfg.EmergencyThreshold {
-				res.EmergencyTime += dt
-			}
-			if ht > s.cfg.Trigger {
-				res.TimeAboveTrigger += dt
-			}
-			energy += power.Total(pvec) * dt
-			res.AvgGate += gates.Fetch * dt
-			if level > 0 {
-				res.TimeAtLowV += dt
-			}
-			if clockStop {
-				res.ClockStopTime += dt
-			}
-		}
-
-		// Apply a pending (ideal-mode) DVS transition.
-		if pendingLevel >= 0 && wall >= pendingAt {
-			if sp != nil && spActive {
-				sp.Begin(obs.StageDVFSActuate)
-			}
-			from := level
-			level = pendingLevel
-			pendingLevel = -1
-			if err := s.core.SetFrequencyRatio(s.ladder.Point(level).F / nomF); err != nil {
-				return Result{}, err
-			}
-			if tr != nil {
-				tr.Emit(&obs.Event{Kind: obs.KindActuation, Time: wall, Cycle: s.core.Cycle(), Step: stepIdx,
-					Measuring: measuring, Level: level, FromLevel: from, SwitchApplied: true,
-					GateFrac: gates.Fetch, ClockStop: clockStop})
-			}
-			if sp != nil && spActive {
-				sp.End(obs.StageDVFSActuate)
-			}
-		}
-
-		// Sensor sampling and policy decision.
-		for wall >= nextSample {
-			nextSample += samplePeriod
-			if sp != nil && spActive {
-				sp.Begin(obs.StageSensorSample)
-			}
-			readings, err = s.bank.Read(readings, temps)
-			if err != nil {
-				return Result{}, err
-			}
-			if sp != nil && spActive {
-				sp.End(obs.StageSensorSample)
-				sp.Begin(obs.StagePolicyDecide)
-			}
-			var d dtm.Decision
-			var maxR float64
-			if vp, ok := s.policy.(dtm.VectorPolicy); ok {
-				d = vp.SampleVector(readings, samplePeriod)
-				if tr != nil {
-					maxR = sensor.Max(readings)
-				}
-			} else {
-				maxR = sensor.Max(readings)
-				d = s.policy.Sample(maxR, samplePeriod)
-			}
-			if sp != nil && spActive {
-				sp.End(obs.StagePolicyDecide)
-			}
-			if sp != nil && spActive && tr != nil {
-				sp.Begin(obs.StageTraceEmit)
-			}
-			if tr != nil {
-				cyc := s.core.Cycle()
-				tr.Emit(&obs.Event{Kind: obs.KindSensor, Time: wall, Cycle: cyc, Step: stepIdx,
-					Measuring: measuring, Readings: readings, MaxReading: maxR})
-				tr.Emit(&obs.Event{Kind: obs.KindDecision, Time: wall, Cycle: cyc, Step: stepIdx,
-					Measuring: measuring, DecGate: d.GateFrac, DecLevel: d.Level, DecClockStop: d.ClockStop})
-			}
-			if sp != nil && spActive && tr != nil {
-				sp.End(obs.StageTraceEmit)
-			}
-			if sp != nil && spActive {
-				// The remainder of the sample body — gate/clock-stop
-				// application and DVS switch bookkeeping, including its
-				// actuation event — is the dvfs.actuate window.
-				sp.Begin(obs.StageDVFSActuate)
-			}
-			if len(s.followers) > 0 {
-				s.sampleFollowers(readings, samplePeriod, d)
-			}
-			gates = cpu.Gates{Fetch: d.GateFrac, Int: d.IntGate, FP: d.FPGate, Mem: d.MemGate}
-			clockStop = d.ClockStop
-			want := s.clampLevel(d.Level)
-			switched := false
-			fromLevel := level
-			if want != level && pendingLevel < 0 && stats.SameFloat(stallRemaining, 0) {
-				res.DVSSwitches++
-				switched = true
-				if s.cfg.DVSStall {
-					// Pipeline stalls through the transition; the new
-					// setting is live afterwards.
-					stallRemaining = s.cfg.DVSSwitchTime
-					level = want
-					if err := s.core.SetFrequencyRatio(s.ladder.Point(level).F / nomF); err != nil {
-						return Result{}, err
-					}
-				} else {
-					pendingLevel = want
-					pendingAt = wall + s.cfg.DVSSwitchTime
-				}
-			}
-			if tr != nil && (switched || !stats.SameFloat(gates.Fetch, prevGate) || clockStop != prevClockStop) {
-				prevGate, prevClockStop = gates.Fetch, clockStop
-				tr.Emit(&obs.Event{Kind: obs.KindActuation, Time: wall, Cycle: s.core.Cycle(), Step: stepIdx,
-					Measuring: measuring, GateFrac: gates.Fetch, ClockStop: clockStop,
-					Level: want, FromLevel: fromLevel,
-					SwitchStarted: switched, SwitchStalls: switched && s.cfg.DVSStall,
-					StallRemaining: stallRemaining})
-			}
-			if sp != nil && spActive {
-				sp.End(obs.StageDVFSActuate)
-			}
-		}
-
-		if !measuring && s.core.Committed() >= settleTarget {
-			measuring = true
-			startCommitted = s.core.Committed()
-			startCycles = s.core.Cycle()
-			startWall = wall
-			committedTarget = startCommitted + instructions
-		}
-		if measuring && s.core.Committed() >= committedTarget {
-			break
-		}
-		if wall > s.cfg.MaxWallTime {
-			return Result{}, fmt.Errorf("core: %s/%s exceeded MaxWallTime %v s without finishing (clock stuck?)",
-				s.prof.Name, s.policy.Name(), s.cfg.MaxWallTime)
-		}
-	}
-
-	res.Instructions = s.core.Committed() - startCommitted
-	res.Cycles = s.core.Cycle() - startCycles
-	res.WallTime = wall - startWall
-	if maxTemp < -1e8 {
-		// Degenerate window (target smaller than one thermal step): report
-		// the current state rather than the sentinel.
-		hottest, maxTemp = s.tm.MaxBlockTemp()
-	}
-	res.MaxTemp = maxTemp
-	res.HottestBlock = s.fp.Block(hottest).Name
-	res.EnergyJ = energy
-	if res.WallTime > 0 {
-		res.AvgPower = energy / res.WallTime
-		res.AvgGate /= res.WallTime
-	}
-	if res.Cycles > 0 {
-		res.AvgIPC = float64(res.Instructions) / float64(res.Cycles)
-	}
-	return res, nil
 }

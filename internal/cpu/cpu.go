@@ -530,17 +530,10 @@ func issueGatesZero(g Gates) bool {
 	return stats.SameFloat(g.Int, 0) && stats.SameFloat(g.FP, 0) && stats.SameFloat(g.Mem, 0)
 }
 
-// Run simulates n cycles with the given fetch-gating fraction (0 = no
+// RunGated simulates n cycles under the given gates (Fetch 0 = no
 // gating, 0.5 = fetch gated every other cycle…), accumulating activity
 // counts into act (which may be nil) and returning instructions committed
 // during this call.
-//
-//dtmlint:allocfree
-func (c *Core) Run(n uint64, gateFrac float64, act *Activity) (uint64, error) {
-	return c.RunGated(n, Gates{Fetch: gateFrac}, act)
-}
-
-// RunGated is Run with the full set of gating knobs.
 //
 //dtmlint:allocfree
 func (c *Core) RunGated(n uint64, gates Gates, act *Activity) (uint64, error) {
@@ -551,11 +544,10 @@ func (c *Core) RunGated(n uint64, gates Gates, act *Activity) (uint64, error) {
 // thermal step core passes the run's StageProfiler and the pipeline loop
 // attributes each stage (commit, the three issue domains, dispatch,
 // fetch, plus the bpred and cache accesses inside them) with chained
-// monotonic timestamps. Unsampled steps take RunGated, so sp here is
-// never a disabled profiler — but every call site still carries the
-// hoisted `if sp != nil` guard, which is both the tracegate-enforced
-// idiom and what keeps the profiler-off path (sp == nil) at one
-// predicted branch per site.
+// monotonic timestamps. On unsampled steps core passes a nil sp, which
+// makes this RunGated; every call site inside carries the hoisted
+// `if sp != nil` guard, which is both the tracegate-enforced idiom and
+// what keeps the profiler-off path at one predicted branch per site.
 //
 // Laps are placed at batch boundaries, not per cycle: one fully-staged
 // cycle opens each profileStride-cycle mini-batch and its per-stage times

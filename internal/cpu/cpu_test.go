@@ -55,7 +55,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestRunProgresses(t *testing.T) {
 	c := newCore(t, testProfile())
-	n, err := c.Run(100000, 0, nil)
+	n, err := c.RunGated(100000, Gates{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestRunProgresses(t *testing.T) {
 func TestIPCInPlausibleBand(t *testing.T) {
 	// A 4-wide machine on a mixed workload: IPC in (0.5, 4].
 	c := newCore(t, testProfile())
-	if _, err := c.Run(500000, 0, nil); err != nil {
+	if _, err := c.RunGated(500000, Gates{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	ipc := c.IPC()
@@ -85,7 +85,7 @@ func TestIPCInPlausibleBand(t *testing.T) {
 func TestIPCNeverExceedsWidths(t *testing.T) {
 	c := newCore(t, testProfile())
 	var act Activity
-	if _, err := c.Run(200000, 0, &act); err != nil {
+	if _, err := c.RunGated(200000, Gates{}, &act); err != nil {
 		t.Fatal(err)
 	}
 	if act.IPC() > float64(c.Config().FetchWidth) {
@@ -101,7 +101,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() (uint64, Activity) {
 		c := newCore(t, testProfile())
 		var act Activity
-		n, err := c.Run(300000, 0.2, &act)
+		n, err := c.RunGated(300000, Gates{Fetch: 0.2}, &act)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,10 +124,10 @@ func TestHigherILPGivesHigherIPC(t *testing.T) {
 
 	cLow := newCore(t, lowDep)
 	cHigh := newCore(t, highDep)
-	if _, err := cLow.Run(500000, 0, nil); err != nil {
+	if _, err := cLow.RunGated(500000, Gates{}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cHigh.Run(500000, 0, nil); err != nil {
+	if _, err := cHigh.RunGated(500000, Gates{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if cHigh.IPC() <= cLow.IPC()*1.1 {
@@ -144,10 +144,10 @@ func TestCacheMissesHurt(t *testing.T) {
 
 	cRes := newCore(t, resident)
 	cThr := newCore(t, thrashing)
-	if _, err := cRes.Run(500000, 0, nil); err != nil {
+	if _, err := cRes.RunGated(500000, Gates{}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cThr.Run(500000, 0, nil); err != nil {
+	if _, err := cThr.RunGated(500000, Gates{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if cThr.IPC() >= cRes.IPC()*0.8 {
@@ -164,10 +164,10 @@ func TestBranchMispredictsHurt(t *testing.T) {
 
 	cP := newCore(t, predictable)
 	cH := newCore(t, hostile)
-	if _, err := cP.Run(500000, 0, nil); err != nil {
+	if _, err := cP.RunGated(500000, Gates{}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cH.Run(500000, 0, nil); err != nil {
+	if _, err := cH.RunGated(500000, Gates{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if cH.IPC() >= cP.IPC()*0.85 {
@@ -190,7 +190,7 @@ func TestFetchGatingKnee(t *testing.T) {
 	ipcAt := func(gate float64) float64 {
 		c := newCore(t, testProfile())
 		var act Activity
-		if _, err := c.Run(600000, gate, &act); err != nil {
+		if _, err := c.RunGated(600000, Gates{Fetch: gate}, &act); err != nil {
 			t.Fatal(err)
 		}
 		return act.IPC()
@@ -218,7 +218,7 @@ func TestGatingReducesActivity(t *testing.T) {
 	run := func(gate float64) Activity {
 		c := newCore(t, testProfile())
 		var act Activity
-		if _, err := c.Run(300000, gate, &act); err != nil {
+		if _, err := c.RunGated(300000, Gates{Fetch: gate}, &act); err != nil {
 			t.Fatal(err)
 		}
 		return act
@@ -243,10 +243,10 @@ func TestGatingReducesActivity(t *testing.T) {
 
 func TestGateFractionValidation(t *testing.T) {
 	c := newCore(t, testProfile())
-	if _, err := c.Run(10, -0.1, nil); err == nil {
+	if _, err := c.RunGated(10, Gates{Fetch: -0.1}, nil); err == nil {
 		t.Error("accepted negative gate fraction")
 	}
-	if _, err := c.Run(10, 1.0, nil); err == nil {
+	if _, err := c.RunGated(10, Gates{Fetch: 1.0}, nil); err == nil {
 		t.Error("accepted gate fraction of 1 (fetch never runs)")
 	}
 }
@@ -272,14 +272,14 @@ func TestLowerClockHelpsMemoryBoundCode(t *testing.T) {
 	p.ColdFootprint = 64 << 20
 
 	full := newCore(t, p)
-	if _, err := full.Run(400000, 0, nil); err != nil {
+	if _, err := full.RunGated(400000, Gates{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	slow := newCore(t, p)
 	if err := slow.SetFrequencyRatio(0.5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := slow.Run(400000, 0, nil); err != nil {
+	if _, err := slow.RunGated(400000, Gates{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if slow.IPC() <= full.IPC()*1.05 {
@@ -303,11 +303,11 @@ func TestActivityAddAndReset(t *testing.T) {
 
 func TestBlockActivityBounds(t *testing.T) {
 	c := newCore(t, testProfile())
-	if _, err := c.Run(300000, 0, nil); err != nil { // warm caches and predictor
+	if _, err := c.RunGated(300000, Gates{}, nil); err != nil { // warm caches and predictor
 		t.Fatal(err)
 	}
 	var act Activity
-	if _, err := c.Run(200000, 0, &act); err != nil {
+	if _, err := c.RunGated(200000, Gates{}, &act); err != nil {
 		t.Fatal(err)
 	}
 	fp := floorplan.EV6()
@@ -368,7 +368,7 @@ func TestInstructionConservation(t *testing.T) {
 	// and committed monotonically approaches fetched.
 	c := newCore(t, testProfile())
 	var act Activity
-	if _, err := c.Run(300000, 0, &act); err != nil {
+	if _, err := c.RunGated(300000, Gates{}, &act); err != nil {
 		t.Fatal(err)
 	}
 	inFlight := act.Fetched - act.Committed
@@ -384,7 +384,7 @@ func TestICacheMissesOccurForBigCode(t *testing.T) {
 	p.CodeFootprint = 1 << 20 // 1MB code over a 64KB L1I
 	c := newCore(t, p)
 	var act Activity
-	if _, err := c.Run(300000, 0, &act); err != nil {
+	if _, err := c.RunGated(300000, Gates{}, &act); err != nil {
 		t.Fatal(err)
 	}
 	if act.ICacheMisses == 0 {
@@ -392,7 +392,7 @@ func TestICacheMissesOccurForBigCode(t *testing.T) {
 	}
 	small := newCore(t, testProfile())
 	var actSmall Activity
-	if _, err := small.Run(300000, 0, &actSmall); err != nil {
+	if _, err := small.RunGated(300000, Gates{}, &actSmall); err != nil {
 		t.Fatal(err)
 	}
 	rBig := float64(act.ICacheMisses) / float64(act.FetchGroups)
@@ -407,7 +407,7 @@ func TestFPWorkloadUsesFPUnits(t *testing.T) {
 	p.Mix.FPAdd, p.Mix.FPMul = 0.25, 0.20
 	c := newCore(t, p)
 	var act Activity
-	if _, err := c.Run(200000, 0, &act); err != nil {
+	if _, err := c.RunGated(200000, Gates{}, &act); err != nil {
 		t.Fatal(err)
 	}
 	if act.FPAddIssued == 0 || act.FPMulIssued == 0 || act.FPRegWrites == 0 {
@@ -417,7 +417,7 @@ func TestFPWorkloadUsesFPUnits(t *testing.T) {
 
 func TestRunZeroCycles(t *testing.T) {
 	c := newCore(t, testProfile())
-	n, err := c.Run(0, 0, nil)
+	n, err := c.RunGated(0, Gates{}, nil)
 	if err != nil || n != 0 {
 		t.Errorf("Run(0) = (%d, %v)", n, err)
 	}
@@ -512,10 +512,10 @@ func TestRunFromRecordedTrace(t *testing.T) {
 	}
 	var aRec, aGen Activity
 	// Stay within the recording so no loop-wrap divergence occurs.
-	if _, err := cRec.Run(100_000, 0, &aRec); err != nil {
+	if _, err := cRec.RunGated(100_000, Gates{}, &aRec); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cGen.Run(100_000, 0, &aGen); err != nil {
+	if _, err := cGen.RunGated(100_000, Gates{}, &aGen); err != nil {
 		t.Fatal(err)
 	}
 	if aRec != aGen {

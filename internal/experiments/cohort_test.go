@@ -134,7 +134,7 @@ func TestCohortsMatchSolo(t *testing.T) {
 		runs = append(runs, run{Job{Config: opts.Config, Profile: p, Factory: none}, got})
 	}
 	fresh := make([]core.Result, len(runs))
-	err = forEach(context.Background(), 2, len(runs), func(ctx context.Context, i int) error {
+	err = forEach(context.Background(), 2, make([]string, len(runs)), nil, func(ctx context.Context, i int) error {
 		pol, err := runs[i].job.Factory.New()
 		if err != nil {
 			return err
@@ -264,6 +264,15 @@ func (b *bomb) Sample(r, dt float64) dtm.Decision {
 	return b.Policy.Sample(r, dt)
 }
 
+// boomFactory builds bombs around FG policies; armed counts the builds.
+func boomFactory(cfg core.Config, armed *atomic.Int64) PolicyFactory {
+	return PolicyFactory{Name: "Boom", New: func() (dtm.Policy, error) {
+		armed.Add(1)
+		p, err := FGPolicy(cfg).New()
+		return &bomb{Policy: p}, err
+	}}
+}
+
 // TestRunJobsContainsPanics: a policy that panics inside a cohort of
 // well-behaved jobs fails the batch with an error naming that job, not the
 // cohort's leader, and the process survives. With a registry the panic is
@@ -271,11 +280,7 @@ func (b *bomb) Sample(r, dt float64) dtm.Decision {
 func TestRunJobsContainsPanics(t *testing.T) {
 	opts := cohortOptions(t, "gcc")
 	var armed atomic.Int64
-	boom := PolicyFactory{Name: "Boom", New: func() (dtm.Policy, error) {
-		armed.Add(1)
-		p, err := FGPolicy(opts.Config).New()
-		return &bomb{Policy: p}, err
-	}}
+	boom := boomFactory(opts.Config, &armed)
 	prof := opts.Benchmarks[0]
 	jobs := []Job{
 		{Config: opts.Config, Profile: prof, Factory: FGPolicy(opts.Config)},

@@ -269,8 +269,10 @@ func (r *Runner) BaselineContext(ctx context.Context, prof trace.Profile) (core.
 	}
 }
 
-// measureBaseline runs an uncached no-DTM simulation.
-func (r *Runner) measureBaseline(ctx context.Context, prof trace.Profile) (core.Result, error) {
+// measureBaseline runs an uncached no-DTM simulation. A panic becomes a
+// *panicError.
+func (r *Runner) measureBaseline(ctx context.Context, prof trace.Profile) (_ core.Result, err error) {
+	defer contain(prof.Name+"/none", r.metrics, &err)
 	sim, err := core.New(r.instrument(r.opts.Config), prof, nil)
 	if err != nil {
 		return core.Result{}, err
@@ -330,27 +332,36 @@ func (r *Runner) RunWithConfig(cfg core.Config, prof trace.Profile, factory Poli
 // other caller: resolve the baseline, build a fresh policy, simulate from
 // scratch and normalize. It is the entry point for drivers that manage
 // their own concurrency (the dtmserve worker pool); batch drivers use
-// RunJobs.
+// RunJobs. A panic in the job's policy or simulation, or in its baseline,
+// fails the call with an error naming the job and carrying the stack
+// (counted in pool.job_panics), not the process.
 func (r *Runner) RunJobContext(ctx context.Context, job Job) (Measurement, error) {
 	start := time.Now() //dtmlint:allow detguard host-side job latency metric; never feeds Measurements
 	base, err := r.BaselineContext(ctx, job.Profile)
 	if err != nil {
 		return Measurement{}, err
 	}
-	pol, err := job.Factory.New()
-	if err != nil {
-		return Measurement{}, err
-	}
-	sim, err := core.New(r.instrument(job.Config), job.Profile, pol)
-	if err != nil {
-		return Measurement{}, err
-	}
-	res, err := sim.RunContext(ctx, r.opts.Instructions)
+	res, err := r.runSolo(ctx, job)
 	if err != nil {
 		return Measurement{}, err
 	}
 	r.jobDone(job, res, start)
 	return measure(job, res, base), nil
+}
+
+// runSolo builds a fresh policy for job and runs its simulation from
+// scratch. A panic becomes a *panicError.
+func (r *Runner) runSolo(ctx context.Context, job Job) (_ core.Result, err error) {
+	defer contain(job.Profile.Name+"/"+job.Factory.Name, r.metrics, &err)
+	pol, err := job.Factory.New()
+	if err != nil {
+		return core.Result{}, err
+	}
+	sim, err := core.New(r.instrument(job.Config), job.Profile, pol)
+	if err != nil {
+		return core.Result{}, err
+	}
+	return sim.RunContext(ctx, r.opts.Instructions)
 }
 
 // jobDone accounts one finished job: the pool.jobs_done counter, its

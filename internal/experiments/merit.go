@@ -40,7 +40,11 @@ func MeritStudies(ctx context.Context, opts Options, names []string) ([]MeritStu
 		workers = runtime.GOMAXPROCS(0)
 	}
 	out := make([]MeritStudyResult, len(names))
-	err := forEach(ctx, workers, len(names), func(ctx context.Context, i int) error {
+	jobs := make([]string, len(names))
+	for i, name := range names {
+		jobs[i] = name + "/merit"
+	}
+	err := forEach(ctx, workers, jobs, opts.Metrics, func(ctx context.Context, i int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -78,11 +82,11 @@ func MeritStudy(opts Options, benchName string) (MeritStudyResult, error) {
 		if err != nil {
 			return cpu.Activity{}, err
 		}
-		if _, err := c.Run(cfg.WarmupCycles, 0, nil); err != nil {
+		if _, err := c.RunGated(cfg.WarmupCycles, cpu.Gates{}, nil); err != nil {
 			return cpu.Activity{}, err
 		}
 		var act cpu.Activity
-		if _, err := c.Run(cfg.InitCycles, gate, &act); err != nil {
+		if _, err := c.RunGated(cfg.InitCycles, cpu.Gates{Fetch: gate}, &act); err != nil {
 			return cpu.Activity{}, err
 		}
 		return act, nil

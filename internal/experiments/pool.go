@@ -276,11 +276,7 @@ func (b *batch) runCohort(ctx context.Context, id int) error {
 // it stayed attached; started reports whether the leader's simulation was
 // built. A panic becomes a *panicError.
 func (b *batch) simulate(ctx context.Context, members []int) (res core.Result, names []string, attached []bool, started bool, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &panicError{job: b.name(members[0]), value: v, stack: debug.Stack()}
-		}
-	}()
+	defer contain(b.name(members[0]), nil, &err) // runCohort counts the panic once it is final
 	pols := make([]dtm.Policy, len(members))
 	names = make([]string, len(members))
 	for k, m := range members {
@@ -370,6 +366,18 @@ func (e *panicError) Error() string {
 	return fmt.Sprintf("experiments: job %s panicked: %v\n%s", e.job, e.value, e.stack)
 }
 
+// contain, deferred by a function that runs one job, turns a panic in it
+// into that function's error: a *panicError naming job (benchmark/policy),
+// counted in reg's pool.job_panics when reg is not nil.
+func contain(job string, reg *obs.Registry, err *error) {
+	if v := recover(); v != nil {
+		*err = &panicError{job: job, value: v, stack: debug.Stack()}
+		if reg != nil {
+			reg.Counter(obs.MetricPoolJobPanics).Inc()
+		}
+	}
+}
+
 // warmPrefix computes one warm prefix for the batch's prefix table.
 func (r *Runner) warmPrefix(ctx context.Context, cfg core.Config, prof trace.Profile) (*core.Prefix, error) {
 	r.prefixWarms.Add(1)
@@ -445,18 +453,24 @@ func (p *progress) done() {
 		"elapsed", elapsed.Round(time.Second).String(), "eta", eta.String())
 }
 
-// forEach runs fn(ctx, i) for every i in [0, n) on at most `workers`
-// goroutines. The first error cancels the derived context, stops handing
-// out new indices, and is returned once all in-flight calls have finished.
-// When several calls fail concurrently the error of whichever recorded
-// first is kept (errors here are deterministic per index, so which one
-// surfaces does not affect reproducibility of successful runs).
-func forEach(ctx context.Context, workers, n int, fn func(context.Context, int) error) error {
+// forEach runs fn(ctx, i) for every job i on at most `workers` goroutines.
+// The first error cancels the derived context, stops handing out new
+// indices, and is returned once all in-flight calls have finished. When
+// several calls fail concurrently the error of whichever recorded first is
+// kept (errors here are deterministic per index, so which one surfaces
+// does not affect reproducibility of successful runs). A panic in fn(ctx,
+// i) is contained as job i's error (see contain), so it fails the call
+// instead of the process.
+func forEach(ctx context.Context, workers int, jobs []string, reg *obs.Registry, fn func(context.Context, int) error) error {
 	var next atomic.Int64
+	n := len(jobs)
 	return pullEach(ctx, workers, n, func(*int) (int, bool) {
 		i := int(next.Add(1) - 1)
 		return i, i < n
-	}, fn)
+	}, func(ctx context.Context, i int) (err error) {
+		defer contain(jobs[i], reg, &err)
+		return fn(ctx, i)
+	})
 }
 
 // pullEach is forEach over the indices that pull hands out: each worker

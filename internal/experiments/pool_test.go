@@ -190,7 +190,7 @@ func TestForEachOrdering(t *testing.T) {
 	for _, workers := range []int{1, 3, 8, 32} {
 		var mu sync.Mutex
 		seen := make(map[int]int)
-		err := forEach(context.Background(), workers, 10, func(ctx context.Context, i int) error {
+		err := forEach(context.Background(), workers, make([]string, 10), nil, func(ctx context.Context, i int) error {
 			mu.Lock()
 			seen[i]++
 			mu.Unlock()

@@ -80,7 +80,7 @@ func TestRunJobsForkMatchesFresh(t *testing.T) {
 		runs = append(runs, run{opts.Config, p, nil, got})
 	}
 	fresh := make([]core.Result, len(runs))
-	err = forEach(context.Background(), 2, len(runs), func(ctx context.Context, i int) error {
+	err = forEach(context.Background(), 2, make([]string, len(runs)), nil, func(ctx context.Context, i int) error {
 		var pol dtm.Policy
 		if f := runs[i].f; f != nil {
 			var err error

@@ -194,7 +194,11 @@ type CharacteriseRow struct {
 // in parallel on the worker pool and land in the shared cache.
 func Characterise(ctx context.Context, r *Runner) ([]CharacteriseRow, error) {
 	rows := make([]CharacteriseRow, len(r.opts.Benchmarks))
-	err := forEach(ctx, r.workers, len(r.opts.Benchmarks), func(ctx context.Context, i int) error {
+	jobs := make([]string, len(rows))
+	for i, b := range r.opts.Benchmarks {
+		jobs[i] = b.Name + "/none"
+	}
+	err := forEach(ctx, r.workers, jobs, r.metrics, func(ctx context.Context, i int) error {
 		b := r.opts.Benchmarks[i]
 		res, err := r.BaselineContext(ctx, b)
 		if err != nil {

@@ -430,6 +430,13 @@ func (m *Model) BlockTemps(dst []float64) []float64 {
 // nodes).
 func (m *Model) NodeTemp(i int) float64 { return m.theta[i] + m.cfg.Ambient }
 
+// NodeRC returns node i's temperature rise over ambient (K), its heat
+// capacity (J/K) and its conductance to ambient (W/K): the terms of the
+// network's energy balance, read-only.
+func (m *Model) NodeRC(i int) (rise, c, gAmb float64) {
+	return m.theta[i], m.nw.Capacitance(i), m.nw.AmbientConductance(i)
+}
+
 // MaxBlockTemp returns the index and absolute temperature of the hottest
 // die block.
 func (m *Model) MaxBlockTemp() (int, float64) {

@@ -92,6 +92,11 @@ type Config struct {
 	// hold a worker at a deterministic point (full queue, mid-drain); it is
 	// unsettable from outside the package and nil in production.
 	gate chan struct{}
+
+	// policy, when non-nil, replaces each job's policy factory before the
+	// job runs. In-package tests use it to inject a failing policy; it is
+	// unsettable from outside the package and nil in production.
+	policy func(experiments.PolicyFactory) experiments.PolicyFactory
 }
 
 func (c Config) withDefaults() Config {
@@ -449,6 +454,9 @@ func (s *Server) simulate(j *job) (experiments.Measurement, error) {
 	cfg, prof, factory, err := j.cfg.Resolve()
 	if err != nil {
 		return experiments.Measurement{}, err
+	}
+	if s.cfg.policy != nil {
+		factory = s.cfg.policy(factory)
 	}
 	runner, err := s.runnerFor(cfg, j.cfg.Instructions)
 	if err != nil {
